@@ -1,6 +1,7 @@
 //! DP kernel performance report: wall-clock and candidate-count trajectory
 //! of the pruned `A_DMV` kernels vs. the exhaustive reference, plus the
-//! incremental-in-`n` series, written to `results/BENCH_dp.json`.
+//! engine's incremental-in-`n` extension series, written to
+//! `results/BENCH_dp.json`.
 //!
 //! Usage:
 //!   cargo run --release -p chain2l-bench --bin dp_report              # report
@@ -35,8 +36,7 @@
 
 use chain2l_analysis::experiments::weak_scaling_scenario;
 use chain2l_bench::write_result_file;
-use chain2l_core::incremental::IncrementalSolver;
-use chain2l_core::{optimize_with_partials, Algorithm, PartialOptions, Solution};
+use chain2l_core::{optimize_with_partials, Algorithm, Engine, PartialOptions, Solution};
 use chain2l_model::platform::scr;
 use chain2l_model::{Platform, Scenario, WeightPattern};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -162,7 +162,8 @@ fn run_cells(exhaustive: Exhaustive) -> Vec<Cell> {
         .collect()
 }
 
-/// Ascending incremental weak-scaling series vs. cold solves of every point.
+/// Ascending weak-scaling series through one [`Engine`] (each point extends
+/// the previous point's tables) vs. cold solves of every point.
 struct SeriesReport {
     points: Vec<usize>,
     incremental_millis: f64,
@@ -173,10 +174,10 @@ struct SeriesReport {
 fn run_series() -> SeriesReport {
     let platform = scr::hera();
     let points = vec![25usize, 50, 100];
-    let solver = IncrementalSolver::new();
+    let engine = Engine::new();
     let start = Instant::now();
     for &n in &points {
-        solver.solve(&weak_scaling_scenario(&platform, n, 500.0), Algorithm::TwoLevelPartial);
+        engine.solve(&weak_scaling_scenario(&platform, n, 500.0), Algorithm::TwoLevelPartial);
     }
     let incremental_millis = start.elapsed().as_secs_f64() * 1e3;
     let start = Instant::now();
@@ -187,7 +188,10 @@ fn run_series() -> SeriesReport {
         );
     }
     let cold_millis = start.elapsed().as_secs_f64() * 1e3;
-    SeriesReport { points, incremental_millis, cold_millis, stats: solver.stats().to_string() }
+    let routes = engine.stats();
+    let stats =
+        format!("{} cold, {} extended, {} reused", routes.cold(), routes.extended, routes.reused);
+    SeriesReport { points, incremental_millis, cold_millis, stats }
 }
 
 /// One wall-clock bench cell: cold pruned solves of the `A_DMV` kernel.

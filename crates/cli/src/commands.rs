@@ -9,7 +9,7 @@ use chain2l_analysis::sweep;
 use chain2l_analysis::validation;
 use chain2l_core::cache::SolveRequest;
 use chain2l_core::evaluator::expected_makespan;
-use chain2l_core::{optimize, Algorithm, Engine, EngineLimits, PartialCostModel};
+use chain2l_core::{optimize, Algorithm, Engine, EngineLimits, PartialCostModel, Solution};
 use chain2l_model::platform::scr;
 use chain2l_model::{Platform, Scenario, Schedule, WeightPattern};
 use chain2l_service::{client, ServeConfig, Server, SolveSpec};
@@ -40,7 +40,7 @@ COMMANDS:
   bench-load                      load-test a daemon: pipelined connections,
                                   sustained RPS and p50/p99/p999 latency
   solve                           solve a weak-scaling n-series (fixed per-task
-                                  weight), optionally reusing DP tables
+                                  weight), extending DP tables point to point
   sensitivity                     elasticity of the optimum w.r.t. every parameter
   help                            show this message
 
@@ -118,8 +118,6 @@ BENCH-LOAD:
   --connections <n>               concurrent pipelined connections (default: 500)
   --requests <n>                  requests per connection (default: 20)
   --window <n>                    pipelined window per connection (default: 8)
-  --rps <r>                       open-loop arrival rate; latency is charged
-                                  from the schedule (default: max throughput)
   --fault-rate <p>                inject benign short-I/O faults on the spawned
                                   daemon's frame paths with probability p
                                   (results stay correct; default: 0)
@@ -135,8 +133,6 @@ BENCH-LOAD:
 SOLVE:
   --series <n1,n2,...>            ascending chain lengths (default: 10,20,30,40,50)
   --per-task-weight <seconds>     weight of every task (default: 500)
-  --incremental                   extend finished DP tables across the series
-                                  (bit-identical results, one cold solve total)
 
 SENSITIVITY:
   --step <fraction>               relative perturbation (default: 0.05)
@@ -159,7 +155,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
         "sweep" => cmd_sweep(args),
         "batch" => cmd_batch(args),
         "serve" => cmd_serve(args),
-        "bench-load" => cmd_bench_load(args),
+        "bench-load" => cmd_load_bench(args),
         "solve" => cmd_solve(args),
         "sensitivity" => cmd_sensitivity(args),
         other => Err(ArgError::Unknown { what: other.to_string() }),
@@ -654,7 +650,7 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, ArgError> {
                 },
             ))),
         };
-        chain2l_service::shard::run_shard_persistent(limits, persister)
+        chain2l_service::shard::run_shard(limits, persister)
             .map_err(|e| ArgError::runtime("shard worker", e))?;
         return Ok(String::new());
     }
@@ -828,30 +824,16 @@ fn spawn_bench_daemon(
     }
 }
 
-/// `chain2l bench-load`: the open-loop load generator against a daemon —
+/// `chain2l bench-load`: the closed-loop load generator against a daemon —
 /// either one it spawns privately or an already-running one via `--addr` —
 /// reporting sustained RPS and latency percentiles, writing
 /// `results/BENCH_serve.json`, and optionally gating against a recorded
 /// baseline with `--check` (exit 1 on regression).
-fn cmd_bench_load(args: &ParsedArgs) -> Result<String, ArgError> {
+fn cmd_load_bench(args: &ParsedArgs) -> Result<String, ArgError> {
     let connections = args.usize_or("connections", 500)?.max(1);
     let requests = args.usize_or("requests", 20)?.max(1);
     let window = args.usize_or("window", 8)?.max(1);
     let shards = args.usize_or("shards", 2)?.max(1);
-    let rps = match args.options.get("rps") {
-        None => None,
-        Some(_) => {
-            let rate = args.f64_or("rps", 0.0)?;
-            if !(rate.is_finite() && rate > 0.0) {
-                return Err(ArgError::InvalidValue {
-                    option: "rps".into(),
-                    value: rate.to_string(),
-                    expected: "a positive arrival rate in requests/second".into(),
-                });
-            }
-            Some(rate)
-        }
-    };
 
     // Fault-injection passthrough for the spawned daemon: an explicit
     // failpoint schedule, a convenience `--fault-rate` (benign short-I/O
@@ -938,7 +920,6 @@ fn cmd_bench_load(args: &ParsedArgs) -> Result<String, ArgError> {
         connections,
         requests_per_connection: requests,
         window,
-        rps,
     };
     let outcome = chain2l_service::loadgen::run(&config);
     teardown(child);
@@ -949,11 +930,8 @@ fn cmd_bench_load(args: &ParsedArgs) -> Result<String, ArgError> {
         return Ok(json);
     }
     let mut out = format!(
-        "bench-load: {} connection(s) x {} request(s), window {}{}\n",
-        report.connections,
-        requests,
-        report.window,
-        rps.map(|r| format!(", open-loop {r} rps")).unwrap_or_default(),
+        "bench-load: {} connection(s) x {} request(s), window {}\n",
+        report.connections, requests, report.window,
     );
     out.push_str(&format!(
         "  completed {} of {} ({} error(s), {} retry(s), {} shed) in {:.2} s -> {:.1} rps\n",
@@ -984,11 +962,11 @@ fn cmd_bench_load(args: &ParsedArgs) -> Result<String, ArgError> {
 }
 
 /// `chain2l solve`: a weak-scaling `n`-series (fixed per-task weight, so the
-/// task-weight vectors nest) solved point by point, optionally through the
-/// strategy-routing engine (`--incremental`), which extends the previous
-/// point's finished DP tables instead of starting over.  Results are
-/// bit-identical either way — only the amount of work changes, reported in
-/// the trailing `# solver:` comment.
+/// task-weight vectors nest) solved point by point through one
+/// strategy-routing engine, which extends the previous point's finished DP
+/// tables instead of starting over.  Results are bit-identical to cold
+/// solves — only the amount of work changes, reported in the trailing
+/// `# solver:` comment.
 fn cmd_solve(args: &ParsedArgs) -> Result<String, ArgError> {
     let platform = parse_platform(args)?;
     let algorithm = parse_algorithm(args)?;
@@ -1018,7 +996,6 @@ fn cmd_solve(args: &ParsedArgs) -> Result<String, ArgError> {
         series.push(n);
     }
 
-    let incremental = args.flag("incremental");
     let engine = Engine::new();
     let mut out =
         String::from("n,expected_makespan,normalized_makespan,disk,memory,guaranteed,partial\n");
@@ -1026,37 +1003,28 @@ fn cmd_solve(args: &ParsedArgs) -> Result<String, ArgError> {
     for &n in &series {
         let scenario =
             chain2l_analysis::experiments::weak_scaling_scenario(&platform, n, per_task_weight);
-        let solution = if incremental {
-            (*engine.solve(&scenario, algorithm)).clone()
-        } else {
-            optimize(&scenario, algorithm)
-        };
-        out.push_str(&format!(
-            "{},{:.6},{:.6},{},{},{},{}\n",
-            n,
-            solution.expected_makespan,
-            solution.normalized_makespan,
-            solution.counts.disk_checkpoints,
-            solution.counts.memory_checkpoints,
-            solution.counts.guaranteed_verifications,
-            solution.counts.partial_verifications,
-        ));
+        out.push_str(&series_row(n, &engine.solve(&scenario, algorithm)));
     }
-    let elapsed = start.elapsed();
-    if incremental {
-        out.push_str(&format!(
-            "# solver: engine ({}) in {:.1} ms\n",
-            engine.stats(),
-            elapsed.as_secs_f64() * 1e3
-        ));
-    } else {
-        out.push_str(&format!(
-            "# solver: {} cold solves in {:.1} ms\n",
-            series.len(),
-            elapsed.as_secs_f64() * 1e3
-        ));
-    }
+    out.push_str(&format!(
+        "# solver: engine ({}) in {:.1} ms\n",
+        engine.stats(),
+        start.elapsed().as_secs_f64() * 1e3
+    ));
     Ok(out)
+}
+
+/// One `chain2l solve` CSV row.
+fn series_row(n: usize, solution: &Solution) -> String {
+    format!(
+        "{},{:.6},{:.6},{},{},{},{}\n",
+        n,
+        solution.expected_makespan,
+        solution.normalized_makespan,
+        solution.counts.disk_checkpoints,
+        solution.counts.memory_checkpoints,
+        solution.counts.guaranteed_verifications,
+        solution.counts.partial_verifications,
+    )
 }
 
 fn cmd_sensitivity(args: &ParsedArgs) -> Result<String, ArgError> {
@@ -1390,22 +1358,29 @@ hera uniform 8
     }
 
     #[test]
-    fn solve_series_is_identical_with_and_without_incremental_reuse() {
-        let rows = |out: &str| -> Vec<String> {
-            out.lines().filter(|l| !l.starts_with('#')).map(|l| l.to_string()).collect()
-        };
-        let common =
-            ["solve", "--series", "6,12,18", "--per-task-weight", "500", "--algorithm", "admv*"];
-        let cold = run_tokens(&common).unwrap();
-        let mut with_inc: Vec<&str> = common.to_vec();
-        with_inc.push("--incremental");
-        let incremental = run_tokens(&with_inc).unwrap();
-        assert_eq!(rows(&cold), rows(&incremental), "results must be bit-identical");
-        assert!(cold.contains("# solver: 3 cold solves"), "{cold}");
-        assert!(incremental.contains("2 extended"), "{incremental}");
-        assert!(incremental.contains("1 cold (pruned)"), "{incremental}");
-        assert_eq!(rows(&cold).len(), 1 + 3, "header + one row per point");
-        assert!(rows(&cold)[1].starts_with("6,"), "{cold}");
+    fn solve_series_rows_equal_cold_solves_and_report_extensions() {
+        let out = run_tokens(&[
+            "solve",
+            "--series",
+            "6,12,18",
+            "--per-task-weight",
+            "500",
+            "--algorithm",
+            "admv*",
+        ])
+        .unwrap();
+        let rows: Vec<&str> = out.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(rows.len(), 1 + 3, "header + one row per point:\n{out}");
+        assert!(rows[0].starts_with("n,expected_makespan,"), "{out}");
+        for (row, n) in rows[1..].iter().zip([6usize, 12, 18]) {
+            let scenario =
+                chain2l_analysis::experiments::weak_scaling_scenario(&scr::hera(), n, 500.0);
+            let cold = optimize(&scenario, Algorithm::TwoLevel);
+            assert_eq!(format!("{row}\n"), series_row(n, &cold), "results must be bit-identical");
+        }
+        // One cold solve, then every later point extends its tables.
+        assert!(out.contains("2 extended"), "{out}");
+        assert!(out.contains("1 cold (pruned)"), "{out}");
     }
 
     #[test]

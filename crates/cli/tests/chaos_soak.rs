@@ -66,16 +66,22 @@ fn key(result: &SolveResult) -> OutcomeKey {
     )
 }
 
+/// A daemon whose shard workers are `chain2l serve --internal-shard`
+/// processes — the same worker the CLI daemon spawns.
+fn worker_config(shards: usize) -> ServeConfig {
+    ServeConfig::new(
+        "127.0.0.1:0",
+        shards,
+        PathBuf::from(env!("CARGO_BIN_EXE_chain2l")),
+        vec!["serve".to_string(), "--internal-shard".to_string()],
+    )
+}
+
 fn start_server(
     failpoints: Option<&str>,
     state_dir: Option<&std::path::Path>,
 ) -> (SocketAddr, Vec<u32>, JoinHandle<ServeSummary>) {
-    let mut config = ServeConfig::new(
-        "127.0.0.1:0",
-        2,
-        PathBuf::from(env!("CARGO_BIN_EXE_chain2l-shard")),
-        Vec::new(),
-    );
+    let mut config = worker_config(2);
     config.failpoints = failpoints.map(str::to_string);
     config.state_dir = state_dir.map(|d| d.to_path_buf());
     config.snapshot_every_secs = 3600;
@@ -195,12 +201,7 @@ fn overload_shedding_is_absorbed_by_client_retry() {
     client::shutdown(&addr.to_string()).expect("shutdown");
     handle.join().expect("server thread");
 
-    let mut config = ServeConfig::new(
-        "127.0.0.1:0",
-        2,
-        PathBuf::from(env!("CARGO_BIN_EXE_chain2l-shard")),
-        Vec::new(),
-    );
+    let mut config = worker_config(2);
     config.max_inflight = 2;
     let server = Server::bind(&config).expect("daemon binds");
     let addr = server.local_addr().to_string();

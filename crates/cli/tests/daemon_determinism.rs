@@ -1,9 +1,9 @@
-//! End-to-end daemon tests with real shard worker *processes*: concurrent
-//! clients receive byte-identical, bit-exact answers at every shard count,
-//! a shard worker killed mid-stream is respawned with its inflight requests
-//! replayed (same byte stream as an undisturbed run), malformed input never
-//! takes the daemon down, and graceful shutdown reports per-shard
-//! statistics.
+//! End-to-end daemon tests with real shard worker *processes*
+//! (`chain2l serve --internal-shard`): concurrent clients receive
+//! byte-identical, bit-exact answers at every shard count, a shard worker
+//! killed mid-stream is respawned with its inflight requests replayed (same
+//! byte stream as an undisturbed run), malformed input never takes the
+//! daemon down, and graceful shutdown reports per-shard statistics.
 
 use chain2l_core::Engine;
 use chain2l_service::protocol::{self, Request, SolveResult, SolveSpec};
@@ -14,13 +14,19 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::thread::JoinHandle;
 
-fn start_server_with_pids(shards: usize) -> (SocketAddr, Vec<u32>, JoinHandle<ServeSummary>) {
-    let config = ServeConfig::new(
+/// A daemon whose shard workers are `chain2l serve --internal-shard`
+/// processes — the same worker the CLI daemon spawns.
+fn worker_config(shards: usize) -> ServeConfig {
+    ServeConfig::new(
         "127.0.0.1:0",
         shards,
-        PathBuf::from(env!("CARGO_BIN_EXE_chain2l-shard")),
-        Vec::new(),
-    );
+        PathBuf::from(env!("CARGO_BIN_EXE_chain2l")),
+        vec!["serve".to_string(), "--internal-shard".to_string()],
+    )
+}
+
+fn start_server_with_pids(shards: usize) -> (SocketAddr, Vec<u32>, JoinHandle<ServeSummary>) {
+    let config = worker_config(shards);
     let server = Server::bind(&config).expect("daemon binds");
     let addr = server.local_addr();
     let pids = server.shard_pids();
@@ -41,12 +47,7 @@ fn start_persistent_server(
     shards: usize,
     state_dir: &std::path::Path,
 ) -> (SocketAddr, Vec<u32>, JoinHandle<ServeSummary>) {
-    let mut config = ServeConfig::new(
-        "127.0.0.1:0",
-        shards,
-        PathBuf::from(env!("CARGO_BIN_EXE_chain2l-shard")),
-        Vec::new(),
-    );
+    let mut config = worker_config(shards);
     config.state_dir = Some(state_dir.to_path_buf());
     config.snapshot_every_secs = 3600;
     let server = Server::bind(&config).expect("daemon binds");

@@ -27,8 +27,8 @@
 //! ([`ArenaStats::bucket_hits`]) show *which* size classes the reuse comes
 //! from.
 //!
-//! Ownership: [`crate::Engine`] and [`crate::IncrementalSolver`] each own
-//! one arena and thread `&TableArena` through the kernels; the plain
+//! Ownership: each [`crate::Engine`] owns one arena and threads
+//! `&TableArena` through the kernels; the plain
 //! [`crate::optimize`] entry points use a throwaway arena per call (same
 //! behaviour as before the pool existed).  Sharing is safe by construction —
 //! buffers are re-filled on checkout, so which solve previously used an

@@ -10,17 +10,16 @@
 //! [`OnceLock`], so racing threads block on the single in-flight solve
 //! instead of duplicating it.
 //!
-//! [`SolutionCache::solve_batch`] is the service-style entry point: it
-//! accepts many [`SolveRequest`]s at once, solves the misses on the
-//! work-stealing pool ([`rayon::scope`]) and returns the solutions in request
-//! order.  Hit/miss statistics ([`CacheStats`]) make the sharing observable,
-//! which is how the harness proves that repeated cells are served from cache.
+//! The cache is the memoization layer of [`crate::Engine`], which plugs its
+//! strategy router in through [`SolutionCache::solve_with`] and batches
+//! [`SolveRequest`]s on the work-stealing pool.  Hit/miss statistics
+//! ([`CacheStats`]) make the sharing observable, which is how the harness
+//! proves that repeated cells are served from cache.
 //!
 //! Because every optimizer in this crate is a deterministic pure function of
 //! the scenario and algorithm, cached and uncached solves are bit-identical —
 //! the cache can never change results, only skip recomputation.
 
-use crate::incremental::IncrementalSolver;
 use crate::lru::LruList;
 use crate::solution::Solution;
 use crate::{optimize, Algorithm};
@@ -151,7 +150,7 @@ impl ScenarioFingerprint {
     }
 }
 
-/// One request of a [`SolutionCache::solve_batch`] call.
+/// One request of an [`crate::Engine::solve_batch`] call.
 #[derive(Debug, Clone)]
 pub struct SolveRequest {
     /// The scenario to optimize.
@@ -337,9 +336,6 @@ pub struct SolutionCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// When present, cache misses are solved through the incremental-in-`n`
-    /// solver instead of a from-scratch [`optimize`] call.
-    incremental: Option<IncrementalSolver>,
 }
 
 impl std::fmt::Debug for SolutionCache {
@@ -364,35 +360,13 @@ impl SolutionCache {
         Self { limits, ..Self::default() }
     }
 
-    /// Creates a cache whose misses run through an [`IncrementalSolver`]:
-    /// prefix-compatible scenarios (e.g. an ascending weak-scaling `n`-sweep)
-    /// extend the previous solve's DP tables instead of starting over.
-    ///
-    /// Expected makespans and schedules are bit-identical to the plain cache
-    /// — the incremental kernels perform the same arithmetic on the same
-    /// inputs — so swapping constructors can never change results, only the
-    /// amount of work (observable through [`Self::incremental_stats`]).
-    /// Misses within one context solve serially (they share tables), so
-    /// prefer [`SolutionCache::new`] for workloads with no prefix overlap.
-    pub fn new_incremental() -> Self {
-        Self { incremental: Some(IncrementalSolver::new()), ..Self::default() }
-    }
-
-    /// Path statistics of the backing incremental solver, if any.
-    pub fn incremental_stats(&self) -> Option<crate::IncrementalStats> {
-        self.incremental.as_ref().map(IncrementalSolver::stats)
-    }
-
     /// Returns the optimal solution for `(scenario, algorithm)`, running the
     /// dynamic program at most once per fingerprint.
     ///
     /// Concurrent callers with the same fingerprint block on the single
     /// in-flight solve instead of duplicating it.
     pub fn solve(&self, scenario: &Scenario, algorithm: Algorithm) -> Arc<Solution> {
-        self.solve_with(scenario, algorithm, || match &self.incremental {
-            Some(solver) => solver.solve(scenario, algorithm),
-            None => optimize(scenario, algorithm),
-        })
+        self.solve_with(scenario, algorithm, || optimize(scenario, algorithm))
     }
 
     /// The memoization primitive behind [`Self::solve`]: returns the cached
@@ -458,22 +432,6 @@ impl SolutionCache {
         // Outside the store lock: other fingerprints stay unblocked while
         // the (possibly expensive) DP runs.
         entry.get_or_init(|| Arc::new(solve())).clone()
-    }
-
-    /// Solves every request and returns the solutions **in request order**,
-    /// running the misses concurrently on the work-stealing pool.
-    ///
-    /// Duplicate requests within one batch (and requests already cached) are
-    /// served from the shared entry — each distinct fingerprint is still
-    /// solved exactly once.
-    pub fn solve_batch(&self, requests: &[SolveRequest]) -> Vec<Arc<Solution>> {
-        let mut results: Vec<Option<Arc<Solution>>> = requests.iter().map(|_| None).collect();
-        rayon::scope(|s| {
-            for (slot, request) in results.iter_mut().zip(requests) {
-                s.spawn(move |_| *slot = Some(self.solve(&request.scenario, request.algorithm)));
-            }
-        });
-        results.into_iter().map(|r| r.expect("scope joined all solves")).collect()
     }
 
     /// Hit/miss/entry statistics accumulated since construction.
@@ -634,32 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_batch_preserves_order_and_dedups() {
-        let cache = SolutionCache::new();
-        let requests = vec![
-            SolveRequest::new(hera_uniform(8), Algorithm::TwoLevel),
-            SolveRequest::new(hera_uniform(10), Algorithm::SingleLevel),
-            SolveRequest::new(hera_uniform(8), Algorithm::TwoLevel), // duplicate of #0
-            SolveRequest::new(hera_uniform(8), Algorithm::SingleLevel),
-        ];
-        let solutions = cache.solve_batch(&requests);
-        assert_eq!(solutions.len(), 4);
-        assert!(Arc::ptr_eq(&solutions[0], &solutions[2]));
-        for (req, sol) in requests.iter().zip(&solutions) {
-            let direct = optimize(&req.scenario, req.algorithm);
-            assert_eq!(direct.expected_makespan.to_bits(), sol.expected_makespan.to_bits());
-            assert_eq!(direct.schedule, sol.schedule);
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 3, "three distinct fingerprints");
-        assert_eq!(stats.hits, 1, "the duplicate is served from cache");
-        // A second identical batch is all hits.
-        let again = cache.solve_batch(&requests);
-        assert!(Arc::ptr_eq(&solutions[1], &again[1]));
-        assert_eq!(cache.stats().misses, 3);
-    }
-
-    #[test]
     fn clear_drops_entries_but_keeps_counters() {
         let cache = SolutionCache::new();
         let s = hera_uniform(6);
@@ -669,34 +601,6 @@ mod tests {
         cache.solve(&s, Algorithm::TwoLevel);
         let stats = cache.stats();
         assert_eq!(stats.misses, 2, "cleared entry must be re-solved");
-    }
-
-    #[test]
-    fn incremental_cache_is_bit_identical_and_reports_reuse() {
-        let platform = scr::hera();
-        let costs = chain2l_model::ResilienceCosts::paper_defaults(&platform);
-        let weak = |n: usize| {
-            Scenario::new(
-                chain2l_model::TaskChain::from_weights(vec![500.0; n]).unwrap(),
-                platform.clone(),
-                costs,
-            )
-            .unwrap()
-        };
-        let cache = SolutionCache::new_incremental();
-        assert!(SolutionCache::new().incremental_stats().is_none());
-        for n in [4usize, 9, 18] {
-            let sol = cache.solve(&weak(n), Algorithm::TwoLevel);
-            let direct = optimize(&weak(n), Algorithm::TwoLevel);
-            assert_eq!(direct.expected_makespan.to_bits(), sol.expected_makespan.to_bits());
-            assert_eq!(direct.schedule, sol.schedule);
-        }
-        let inc = cache.incremental_stats().expect("incremental mode");
-        assert_eq!((inc.cold_solves, inc.extensions), (1, 2));
-        // Memoization still applies on top.
-        cache.solve(&weak(9), Algorithm::TwoLevel);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.incremental_stats().unwrap().extensions, 2);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The strategy-routing solver engine: one front door for every dynamic
 //! program in this crate.
 //!
-//! Three ad-hoc entry layers grew around the optimizers — direct kernel
-//! calls ([`crate::optimize`]), the memoizing [`SolutionCache`] and the
-//! incremental-in-`n` [`crate::IncrementalSolver`] — and every consumer wired
-//! them up differently.  [`Engine`] unifies them: each solve is routed
-//! through the **cheapest sound strategy**, in order:
+//! [`Engine`] composes the direct kernels ([`crate::optimize`]), the
+//! memoizing [`SolutionCache`] and the retained DP tables of each solving
+//! context: each solve is routed through the **cheapest sound strategy**, in
+//! order:
 //!
 //! 1. **cache hit** — the `(scenario, algorithm)` fingerprint was solved
 //!    before; the cached [`Solution`] is returned without touching a kernel;
@@ -13,7 +12,10 @@
 //!    scenario (its weight vector is a bitwise prefix of the solved one);
 //!    only the argmin walk runs;
 //! 3. **incremental extension** — the scenario bitwise-extends the retained
-//!    tables; only the new columns and disk-segment slices are computed;
+//!    tables; only the new columns and disk-segment slices are computed.
+//!    Every recurrence is *prefix-local* (entries with boundary indices
+//!    `≤ m` depend only on `w_1..w_m`), so the extended tables equal a cold
+//!    fill at the larger size, [`DpStatistics`] included;
 //! 4. **pruned kernel** — a cold solve with candidate pruning active;
 //! 5. **exhaustive fallback** — a cold solve with the exhaustive scans, used
 //!    when pruning was disabled or the cost model defeats the soundness
@@ -226,7 +228,7 @@ pub fn kernel_for(algorithm: Algorithm) -> &'static dyn Kernel {
 }
 
 /// Assembles a [`Solution`] from a kernel's finished state.
-pub(crate) fn assemble(
+fn assemble(
     kernel: &dyn Kernel,
     calc: &SegmentCalculator<'_>,
     state: &KernelState,
@@ -247,7 +249,7 @@ pub(crate) struct ContextKey {
 }
 
 impl ContextKey {
-    pub(crate) fn new(scenario: &Scenario, algorithm: Algorithm) -> Self {
+    fn new(scenario: &Scenario, algorithm: Algorithm) -> Self {
         let c = &scenario.costs;
         Self {
             lambda_fail_stop: scenario.platform.lambda_fail_stop.to_bits(),
@@ -269,7 +271,7 @@ impl ContextKey {
 /// True when `prefix` is a bitwise prefix of `weights` (`f64` bit patterns,
 /// so `-0.0 ≠ 0.0` and equal-looking but differently-rounded weights do not
 /// alias — exactly the equality the DP tables require).
-pub(crate) fn bitwise_prefix(prefix: &[f64], weights: &[f64]) -> bool {
+fn bitwise_prefix(prefix: &[f64], weights: &[f64]) -> bool {
     prefix.len() <= weights.len()
         && prefix.iter().zip(weights).all(|(a, b)| a.to_bits() == b.to_bits())
 }
@@ -918,6 +920,28 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.cache.misses, 2);
         assert_eq!(stats.cache.hits, 1);
+        // A second identical batch is all hits.
+        let again = engine.solve_batch(&requests);
+        assert!(Arc::ptr_eq(&solutions[1], &again[1]));
+        assert_eq!(engine.stats().cache.misses, 2);
+    }
+
+    #[test]
+    fn contexts_are_isolated_by_rates_costs_and_algorithm() {
+        let engine = Engine::new();
+        let s = weak_scaling(8, 500.0);
+        engine.solve(&s, Algorithm::TwoLevel);
+        engine.solve(&s, Algorithm::SingleLevel);
+        let mut expensive = s.clone();
+        expensive.costs.disk_checkpoint *= 2.0;
+        engine.solve(&expensive, Algorithm::TwoLevel);
+        let mut faster_errors = s.clone();
+        faster_errors.platform.lambda_silent *= 2.0;
+        engine.solve(&faster_errors, Algorithm::TwoLevel);
+        assert_eq!(engine.context_count(), 4);
+        assert_eq!(engine.stats().cold(), 4, "no context may serve another's scenario");
+        engine.clear();
+        assert_eq!(engine.context_count(), 0);
     }
 
     #[test]

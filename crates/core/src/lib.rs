@@ -19,18 +19,17 @@
 //! * [`segment`] — the closed-form segment expectations (Eq. 2–4 and the
 //!   §III-B quantities) shared by all of the above;
 //! * [`cache`] — a concurrency-safe memoizing [`SolutionCache`] keyed by a
-//!   canonical scenario fingerprint, with a batch solver service API
-//!   ([`cache::SolutionCache::solve_batch`]);
-//! * [`incremental`] — the incremental-in-`n` [`IncrementalSolver`] that
-//!   extends finished DP tables from `n` to `n' > n` when the task-weight
-//!   prefix is unchanged, and serves prefix-covered smaller scenarios with
-//!   no DP work at all;
+//!   canonical scenario fingerprint;
 //! * [`engine`] — the strategy-routing [`Engine`]: the one front door that
 //!   composes all of the above, routing every [`SolveRequest`] through the
 //!   cheapest sound strategy (cache hit → prefix reuse → incremental
 //!   extension → pruned kernel → exhaustive fallback) behind the [`Kernel`]
-//!   trait, with per-strategy counters ([`EngineStats`]).  The experiment
-//!   harness, the CLI and the `chain2l-service` daemon all solve through it;
+//!   trait, with per-strategy counters ([`EngineStats`]) and a batch API
+//!   ([`Engine::solve_batch`]).  Extension grows finished DP tables from `n`
+//!   to `n' > n` when the task-weight prefix is unchanged; reuse serves
+//!   prefix-covered smaller scenarios with no DP work at all.  The
+//!   experiment harness, the CLI and the `chain2l-service` daemon all solve
+//!   through it;
 //! * [`failpoint`] — a zero-cost-when-disabled, deterministically seeded
 //!   fault-injection registry (`CHAIN2L_FAILPOINTS`) threaded through the
 //!   workspace's I/O edges for chaos testing.
@@ -75,7 +74,6 @@ pub mod engine;
 pub mod evaluator;
 pub mod failpoint;
 pub mod heuristics;
-pub mod incremental;
 pub mod lru;
 pub mod partial;
 pub mod segment;
@@ -90,7 +88,6 @@ pub use arena::{ArenaStats, TableArena};
 pub use cache::{CacheLimits, CacheStats, ScenarioFingerprint, SolutionCache, SolveRequest};
 pub use engine::{kernel_for, Engine, EngineLimits, EngineStats, Kernel, KernelState};
 pub use failpoint::FailAction;
-pub use incremental::{IncrementalSolver, IncrementalStats};
 pub use partial::{optimize_with_partials, PartialOptions};
 pub use segment::{PartialCostModel, SegmentCalculator};
 pub use simd_scan::{set_simd_enabled, simd_enabled};

@@ -41,8 +41,8 @@
 //! exhaustive kernel ([`PartialOptions::without_pruning`]) at any thread
 //! count (see `results/BENCH_dp.json` for the measured candidate and
 //! wall-clock reductions).  The kernel fills columns incrementally
-//! (`from_m2`), which is what [`crate::incremental::IncrementalSolver`] uses
-//! to extend finished tables from `n` to `n' > n`.
+//! (`from_m2`), which is what [`crate::Engine`]'s extension route uses to
+//! extend finished tables from `n` to `n' > n`.
 
 use crate::arena::TableArena;
 use crate::dp::{self, DiskSlice, DpTables, NO_CHOICE};

@@ -11,7 +11,7 @@
 //! ```text
 //! magic   8 B  "C2LSNAPS"
 //! version u32  FORMAT_VERSION
-//! count   u32  number of sections (always 3 in v1)
+//! count   u32  number of sections (always 3)
 //! 3 × section, in fixed tag order (1 header, 2 cache, 3 contexts):
 //!   tag u32 · payload_len u64 · crc32 u32 · payload
 //! ```
@@ -136,9 +136,6 @@ pub enum SnapshotLoadOutcome {
     NotAttempted,
     /// The snapshot decoded and its state was installed.
     Loaded,
-    /// A format-v1 snapshot was migrated on load: decoded with the v1
-    /// layout, v2-only scan counters zero-filled, state installed.
-    Migrated,
     /// No snapshot file existed — a first boot.
     Absent,
     /// A snapshot file existed but was rejected; the engine started cold.
@@ -150,7 +147,6 @@ impl std::fmt::Display for SnapshotLoadOutcome {
         match self {
             Self::NotAttempted => f.write_str("none"),
             Self::Loaded => f.write_str("warm"),
-            Self::Migrated => f.write_str("warm (migrated v1)"),
             Self::Absent => f.write_str("cold (no snapshot)"),
             Self::Rejected(reason) => write!(f, "cold (rejected: {reason})"),
         }
@@ -525,9 +521,6 @@ pub fn encode(engine: &Engine, identity: ShardIdentity) -> Vec<u8> {
 struct DecodedSnapshot {
     entries: Vec<(ScenarioFingerprint, Solution)>,
     contexts: Vec<ContextExport>,
-    /// True when the file was a format-v1 snapshot decoded by the
-    /// migration path (scan counters zero-filled).
-    migrated: bool,
 }
 
 fn read_section<'a>(r: &mut Reader<'a>, expected_tag: u32) -> Result<&'a [u8], Reject> {
@@ -608,7 +601,7 @@ fn decode_fingerprint_parts(r: &mut Reader<'_>) -> Result<(u64, u64, [u64; 7], A
     Ok((lambda_fail_stop, lambda_silent, costs, algorithm))
 }
 
-fn decode_solution(r: &mut Reader<'_>, v1: bool) -> Result<Solution, Reject> {
+fn decode_solution(r: &mut Reader<'_>) -> Result<Solution, Reject> {
     let expected_makespan = f64::from_bits(r.u64()?);
     let normalized_makespan = f64::from_bits(r.u64()?);
     let sched_len = r.len()?;
@@ -630,8 +623,8 @@ fn decode_solution(r: &mut Reader<'_>, v1: bool) -> Result<Solution, Reject> {
     };
     let table_entries = count("table entry")?;
     let candidates_examined = r.u64()?;
-    // Format v1 predates the SIMD scan counters; migrate by zero-filling.
-    let (simd_blocks, scalar_fallbacks) = if v1 { (0, 0) } else { (r.u64()?, r.u64()?) };
+    let simd_blocks = r.u64()?;
+    let scalar_fallbacks = r.u64()?;
     Ok(Solution {
         expected_makespan,
         normalized_makespan,
@@ -641,7 +634,7 @@ fn decode_solution(r: &mut Reader<'_>, v1: bool) -> Result<Solution, Reject> {
     })
 }
 
-fn decode_cache(payload: &[u8], v1: bool) -> Result<Vec<(ScenarioFingerprint, Solution)>, Reject> {
+fn decode_cache(payload: &[u8]) -> Result<Vec<(ScenarioFingerprint, Solution)>, Reject> {
     let mut r = Reader::new(payload);
     let count = r.u64()?;
     let mut out = Vec::new();
@@ -651,7 +644,7 @@ fn decode_cache(payload: &[u8], v1: bool) -> Result<Vec<(ScenarioFingerprint, So
         let weights = r.u64_vec(n)?;
         let fingerprint =
             ScenarioFingerprint { lambda_fail_stop, lambda_silent, costs, weights, algorithm };
-        let solution = decode_solution(&mut r, v1)?;
+        let solution = decode_solution(&mut r)?;
         out.push((fingerprint, solution));
     }
     if !r.is_empty() {
@@ -660,11 +653,7 @@ fn decode_cache(payload: &[u8], v1: bool) -> Result<Vec<(ScenarioFingerprint, So
     Ok(out)
 }
 
-fn decode_contexts(
-    payload: &[u8],
-    arena: &TableArena,
-    v1: bool,
-) -> Result<Vec<ContextExport>, Reject> {
+fn decode_contexts(payload: &[u8], arena: &TableArena) -> Result<Vec<ContextExport>, Reject> {
     let mut r = Reader::new(payload);
     let count = r.u64()?;
     let mut out = Vec::new();
@@ -698,11 +687,7 @@ fn decode_contexts(
             let emem = r.f64_plane(dim, arena)?;
             let emem_choice = r.u32_plane(dim, arena)?;
             let candidates = r.u64()?;
-            let scan = if v1 {
-                ScanCounters::default()
-            } else {
-                ScanCounters { simd_blocks: r.u64()?, scalar_fallbacks: r.u64()? }
-            };
+            let scan = ScanCounters { simd_blocks: r.u64()?, scalar_fallbacks: r.u64()? };
             slices.push(DiskSlice {
                 everif: SliceTable2::from_buffer(n, d1, rows, everif),
                 everif_choice: SliceTable2::from_buffer(n, d1, rows, everif_choice),
@@ -716,14 +701,8 @@ fn decode_contexts(
         let edisk_choice = r.u32_plane(dim, arena)?;
         let floor_candidates = r.u64()?;
         let candidates = r.u64()?;
-        let (floor_scan, scan) = if v1 {
-            (ScanCounters::default(), ScanCounters::default())
-        } else {
-            (
-                ScanCounters { simd_blocks: r.u64()?, scalar_fallbacks: r.u64()? },
-                ScanCounters { simd_blocks: r.u64()?, scalar_fallbacks: r.u64()? },
-            )
-        };
+        let floor_scan = ScanCounters { simd_blocks: r.u64()?, scalar_fallbacks: r.u64()? };
+        let scan = ScanCounters { simd_blocks: r.u64()?, scalar_fallbacks: r.u64()? };
         out.push(ContextExport {
             key,
             weights,
@@ -762,17 +741,12 @@ fn decode(
         });
     }
     let version = r.u32()?;
-    // Format v1 is one field set short of v2 (no SIMD scan counters) and
-    // migrates in place; anything else still cold-starts.
-    if version != FORMAT_VERSION && version != 1 {
+    if version != FORMAT_VERSION {
         return Err(Reject {
             reason: SnapshotRejectReason::Version,
-            detail: format!(
-                "snapshot format v{version}, this build reads v{FORMAT_VERSION} (or migrates v1)"
-            ),
+            detail: format!("snapshot format v{version}, this build reads v{FORMAT_VERSION}"),
         });
     }
-    let v1 = version == 1;
     let sections = r.u32()?;
     if sections != 3 {
         return Err(malformed(format!("{sections} sections, expected 3")));
@@ -785,9 +759,8 @@ fn decode(
     }
     check_header(header, limits, identity)?;
     Ok(DecodedSnapshot {
-        entries: decode_cache(cache, v1)?,
-        contexts: decode_contexts(contexts, arena, v1)?,
-        migrated: v1,
+        entries: decode_cache(cache)?,
+        contexts: decode_contexts(contexts, arena)?,
     })
 }
 
@@ -863,7 +836,6 @@ pub fn load(engine: &Engine, path: &Path, identity: ShardIdentity) -> LoadReport
         },
         Ok(bytes) => match decode(&bytes, engine.limits(), identity, engine.snapshot_arena()) {
             Ok(decoded) => {
-                let migrated = decoded.migrated;
                 let mut entries = 0usize;
                 for (fingerprint, solution) in decoded.entries {
                     if engine.snapshot_cache().restore_entry(fingerprint, Arc::new(solution)) {
@@ -876,16 +848,11 @@ pub fn load(engine: &Engine, path: &Path, identity: ShardIdentity) -> LoadReport
                         contexts += 1;
                     }
                 }
-                let (outcome, how) = if migrated {
-                    (SnapshotLoadOutcome::Migrated, " (migrated v1)")
-                } else {
-                    (SnapshotLoadOutcome::Loaded, "")
-                };
                 LoadReport {
-                    outcome,
+                    outcome: SnapshotLoadOutcome::Loaded,
                     detail: format!(
-                        "warm start{how}: restored {entries} cached solutions and \
-                             {contexts} retained contexts from {}",
+                        "warm start: restored {entries} cached solutions and \
+                         {contexts} retained contexts from {}",
                         path.display()
                     ),
                 }

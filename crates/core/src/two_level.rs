@@ -35,8 +35,8 @@
 //! so values *and argmins* — and therefore schedules — are bit-identical to
 //! the exhaustive scan ([`TwoLevelOptions::without_pruning`]) at any thread
 //! count.  The kernel also fills columns incrementally (`from_m2`), which is
-//! what [`crate::incremental::IncrementalSolver`] uses to extend finished
-//! tables from `n` to `n' > n`.
+//! what [`crate::Engine`]'s extension route uses to extend finished tables
+//! from `n` to `n' > n`.
 
 use crate::arena::TableArena;
 use crate::dp::{self, DiskSlice, DpTables, NO_CHOICE};

@@ -1,18 +1,19 @@
-//! Kernel-equivalence suite: the candidate-pruned and incremental solvers
-//! must be **bit-identical** to the unpruned sequential dynamic programs —
-//! same expected makespans (to the bit), same schedules, same finalized
-//! table-entry counts — across every platform, weight pattern and chain size,
-//! while examining no more candidates than the exhaustive scans.
+//! Kernel-equivalence suite: the candidate-pruned kernels and the engine's
+//! reuse and extension routes must be **bit-identical** to the unpruned
+//! sequential dynamic programs — same expected makespans (to the bit), same
+//! schedules, same finalized table-entry counts — across every platform,
+//! weight pattern and chain size, while examining no more candidates than
+//! the exhaustive scans.
 
-use chain2l_core::incremental::{IncrementalSolver, SolvePath};
 use chain2l_core::{
-    optimize, optimize_two_level, optimize_with_partials, Algorithm, Engine, PartialOptions,
-    TwoLevelOptions,
+    optimize, optimize_two_level, optimize_with_partials, Algorithm, Engine, EngineStats,
+    PartialOptions, Solution, TwoLevelOptions,
 };
 use chain2l_model::pattern::WeightPattern;
 use chain2l_model::platform::{scr, Platform};
 use chain2l_model::{ResilienceCosts, Scenario, TaskChain};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn patterns() -> [WeightPattern; 3] {
     [WeightPattern::Uniform, WeightPattern::Decrease, WeightPattern::high_low_default()]
@@ -35,7 +36,7 @@ fn weak_scaling(platform: &Platform, n: usize, w: f64) -> Scenario {
 /// bitwise makespan, schedule (hence every argmin on the optimal path) and
 /// finalized table entries.
 #[track_caller]
-fn assert_bit_identical(a: &chain2l_core::Solution, b: &chain2l_core::Solution, context: &str) {
+fn assert_bit_identical(a: &Solution, b: &Solution, context: &str) {
     assert_eq!(
         a.expected_makespan.to_bits(),
         b.expected_makespan.to_bits(),
@@ -95,13 +96,61 @@ fn partial_pruned_equals_exhaustive_on_all_platforms_patterns_and_sizes() {
     }
 }
 
+/// How the engine served one solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Hit,
+    Reused,
+    Extended,
+    Cold,
+}
+
+/// Reads the route of the one solve between two engine snapshots from the
+/// counter deltas.
+fn route_of(before: &EngineStats, after: &EngineStats) -> Route {
+    if after.cache.hits > before.cache.hits {
+        Route::Hit
+    } else if after.reused > before.reused {
+        Route::Reused
+    } else if after.extended > before.extended {
+        Route::Extended
+    } else {
+        assert_eq!(after.cold(), before.cold() + 1, "exactly one route per solve");
+        Route::Cold
+    }
+}
+
+/// Solves through `engine`, reporting the route that served the request.
+fn solve_routed(engine: &Engine, s: &Scenario, algorithm: Algorithm) -> (Arc<Solution>, Route) {
+    let before = engine.stats();
+    let solution = engine.solve(s, algorithm);
+    (solution, route_of(&before, &engine.stats()))
+}
+
+/// Asserts an engine solution against a cold solve of the same scenario:
+/// bitwise makespan and schedule on every route, and the DP statistics on
+/// every route but reuse (a reused solution reports the statistics of the
+/// larger tables it was read from).
+#[track_caller]
+fn assert_matches_cold(sol: &Solution, route: Route, cold: &Solution, context: &str) {
+    assert_eq!(
+        sol.expected_makespan.to_bits(),
+        cold.expected_makespan.to_bits(),
+        "makespan differs: {context}"
+    );
+    assert_eq!(sol.schedule, cold.schedule, "schedule differs: {context}");
+    if route != Route::Reused {
+        assert_eq!(sol.stats, cold.stats, "statistics differ: {context}");
+    }
+}
+
 #[test]
-fn incremental_extension_equals_cold_solves_for_every_algorithm() {
+fn extension_equals_cold_solves_for_every_algorithm() {
     // Ascending weak-scaling series: each step extends the previous tables;
     // every point must match a cold pruned solve bit for bit (including the
     // DP statistics — the extension performs exactly the missing work).
     for platform in scr::all() {
-        let solver = IncrementalSolver::new();
+        let engine = Engine::new();
         for algorithm in [
             Algorithm::SingleLevel,
             Algorithm::TwoLevel,
@@ -110,53 +159,69 @@ fn incremental_extension_equals_cold_solves_for_every_algorithm() {
         ] {
             for n in [1usize, 2, 10, 50] {
                 let s = weak_scaling(&platform, n, 500.0);
-                let sol = solver.solve(&s, algorithm);
+                let (sol, route) = solve_routed(&engine, &s, algorithm);
                 let cold = optimize(&s, algorithm);
                 let context = format!("{} / {algorithm} / n={n}", platform.name);
-                assert_bit_identical(&sol, &cold, &context);
-                assert_eq!(sol.stats, cold.stats, "{context}");
+                let expected = if n == 1 { Route::Cold } else { Route::Extended };
+                assert_eq!(route, expected, "{context}");
+                assert_matches_cold(&sol, route, &cold, &context);
             }
         }
-        let stats = solver.stats();
-        assert_eq!(stats.cold_solves, 4, "{}: one cold solve per algorithm", platform.name);
-        assert_eq!(stats.extensions, 12, "{}: every other point extends", platform.name);
+        let stats = engine.stats();
+        assert_eq!(stats.cold(), 4, "{}: one cold solve per algorithm", platform.name);
+        assert_eq!(stats.extended, 12, "{}: every other point extends", platform.name);
     }
 }
 
 #[test]
-fn incremental_shrink_reuses_tables_and_matches_cold_solves() {
+fn shrink_reuses_tables_and_matches_cold_solves() {
     let platform = scr::coastal_ssd();
-    let solver = IncrementalSolver::new();
-    solver.solve(&weak_scaling(&platform, 40, 625.0), Algorithm::TwoLevelPartial);
-    for n in [1usize, 7, 23, 40] {
+    let engine = Engine::new();
+    let (_, route) =
+        solve_routed(&engine, &weak_scaling(&platform, 40, 625.0), Algorithm::TwoLevelPartial);
+    assert_eq!(route, Route::Cold);
+    // Every smaller size is a prefix of the retained tables; the repeated
+    // size is a fingerprint already in the cache.
+    for (n, expected) in
+        [(1usize, Route::Reused), (7, Route::Reused), (23, Route::Reused), (40, Route::Hit)]
+    {
         let s = weak_scaling(&platform, n, 625.0);
-        let (sol, path) = solver.solve_traced(&s, Algorithm::TwoLevelPartial);
-        assert_eq!(path, SolvePath::Reused, "n={n}");
-        let cold = optimize(&s, Algorithm::TwoLevelPartial);
-        assert_eq!(sol.expected_makespan.to_bits(), cold.expected_makespan.to_bits(), "n={n}");
-        assert_eq!(sol.schedule, cold.schedule, "n={n}");
+        let (sol, route) = solve_routed(&engine, &s, Algorithm::TwoLevelPartial);
+        assert_eq!(route, expected, "n={n}");
+        assert_matches_cold(
+            &sol,
+            route,
+            &optimize(&s, Algorithm::TwoLevelPartial),
+            &format!("n={n}"),
+        );
     }
-    assert_eq!(solver.stats().reuses, 4);
+    let stats = engine.stats();
+    assert_eq!((stats.reused, stats.cache.hits), (3, 1), "{stats:?}");
 }
 
 #[test]
-fn incremental_solver_is_exact_under_interleaved_sizes_and_algorithms() {
+fn engine_is_exact_under_interleaved_sizes_and_algorithms() {
     // A messy request mix — shrink, extend, repeat, switch algorithms —
     // must still be bit-identical to cold solves at every step.
     let platform = scr::atlas();
-    let solver = IncrementalSolver::new();
-    let sizes = [12usize, 5, 20, 20, 3, 33, 8];
-    for (i, &n) in sizes.iter().enumerate() {
+    let engine = Engine::new();
+    let steps = [
+        (12usize, Route::Cold),
+        (5, Route::Reused),
+        (20, Route::Extended),
+        (20, Route::Hit),
+        (3, Route::Reused),
+        (33, Route::Extended),
+        (8, Route::Reused),
+    ];
+    for (i, &(n, expected)) in steps.iter().enumerate() {
         for algorithm in [Algorithm::TwoLevel, Algorithm::TwoLevelPartial] {
             let s = weak_scaling(&platform, n, 500.0);
-            let sol = solver.solve(&s, algorithm);
+            let (sol, route) = solve_routed(&engine, &s, algorithm);
             let cold = optimize(&s, algorithm);
-            assert_eq!(
-                sol.expected_makespan.to_bits(),
-                cold.expected_makespan.to_bits(),
-                "step {i}, {algorithm}, n={n}"
-            );
-            assert_eq!(sol.schedule, cold.schedule, "step {i}, {algorithm}, n={n}");
+            let context = format!("step {i}, {algorithm}, n={n}");
+            assert_eq!(route, expected, "{context}");
+            assert_matches_cold(&sol, route, &cold, &context);
         }
     }
 }
@@ -225,9 +290,10 @@ proptest! {
     }
 
     /// Random prefix-stable extensions: solving the prefix first and then the
-    /// full chain through the incremental solver matches the cold solve.
+    /// full chain through the engine extends the tables and matches the
+    /// cold solve.
     #[test]
-    fn incremental_extension_matches_cold_solve_on_random_chains(
+    fn extension_matches_cold_solve_on_random_chains(
         prefix_weights in proptest::collection::vec(1.0f64..5_000.0, 1..8),
         extra_weights in proptest::collection::vec(1.0f64..5_000.0, 1..8),
     ) {
@@ -239,10 +305,10 @@ proptest! {
             TaskChain::from_weights(prefix_weights).unwrap(), platform.clone(), costs).unwrap();
         let large = Scenario::new(
             TaskChain::from_weights(all).unwrap(), platform.clone(), costs).unwrap();
-        let solver = IncrementalSolver::new();
-        solver.solve(&small, Algorithm::TwoLevelPartial);
-        let (sol, path) = solver.solve_traced(&large, Algorithm::TwoLevelPartial);
-        prop_assert_eq!(path, SolvePath::Extended);
+        let engine = Engine::new();
+        engine.solve(&small, Algorithm::TwoLevelPartial);
+        let (sol, route) = solve_routed(&engine, &large, Algorithm::TwoLevelPartial);
+        prop_assert_eq!(route, Route::Extended);
         let cold = optimize(&large, Algorithm::TwoLevelPartial);
         prop_assert_eq!(sol.expected_makespan.to_bits(), cold.expected_makespan.to_bits());
         prop_assert_eq!(&sol.schedule, &cold.schedule);

@@ -168,15 +168,18 @@ fn empty_garbage_and_mislabeled_files_reject_with_the_right_reason() {
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&[0xFF; 64]);
     assert!(matches!(load_bytes("post-magic-garbage", &bytes), SnapshotLoadOutcome::Rejected(_)));
-    // Valid magic, future version: must reject as a version mismatch so the
-    // operator knows a downgrade happened.
-    let mut bytes = MAGIC.to_vec();
-    bytes.extend_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    bytes.extend_from_slice(&[0u8; 64]);
-    assert_eq!(
-        load_bytes("future-version", &bytes),
-        SnapshotLoadOutcome::Rejected(SnapshotRejectReason::Version)
-    );
+    // Valid magic, past (format v1) or future version: must reject as a
+    // version mismatch so the operator knows why the boot was cold.
+    for version in [1, FORMAT_VERSION + 1] {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 64]);
+        assert_eq!(
+            load_bytes("other-version", &bytes),
+            SnapshotLoadOutcome::Rejected(SnapshotRejectReason::Version),
+            "format v{version}"
+        );
+    }
 }
 
 #[test]

@@ -152,16 +152,8 @@ const DETERMINISM_CRATES: [&str; 4] = ["core", "analysis", "model", "sim"];
 /// `client.rs` joined when it grew the retry/backoff machinery: a panic
 /// in its reconnect loop strands a whole batch, so it is held to the
 /// daemon standard.  `loadgen.rs` stays out — harness tooling only.
-const DAEMON_FILES: [&str; 8] = [
-    "server.rs",
-    "shard.rs",
-    "frame.rs",
-    "json.rs",
-    "protocol.rs",
-    "persist.rs",
-    "chain2l-shard.rs",
-    "client.rs",
-];
+const DAEMON_FILES: [&str; 7] =
+    ["server.rs", "shard.rs", "frame.rs", "json.rs", "protocol.rs", "persist.rs", "client.rs"];
 
 /// Maps a workspace-relative path to its crate namespace and pass scope.
 /// `None` means the file is out of scope entirely (vendored readiness

@@ -26,7 +26,7 @@
 //! * [`client`] — pipelined remote batch solving with reconnect-and-resend
 //!   retry (exponential backoff, deterministic seeded jitter, per-request
 //!   deadlines) and the control ops (`ping`/`stats`/`health`/`shutdown`);
-//! * [`loadgen`] — the open-loop load generator and latency report behind
+//! * [`loadgen`] — the closed-loop load generator and latency report behind
 //!   `chain2l bench-load`, including shed-retry accounting under daemon
 //!   admission control.
 //!
@@ -43,8 +43,9 @@
 //! released in request order — so `chain2l batch --remote` output is
 //! **byte-identical** to the offline `chain2l batch` for any shard count,
 //! any client concurrency, any `RAYON_NUM_THREADS`, and even across a shard
-//! worker being killed and respawned mid-stream (enforced by this crate's
-//! integration tests and the CI smoke job).
+//! worker being killed and respawned mid-stream (enforced by the daemon
+//! integration tests in `crates/cli/tests`, which run real
+//! `chain2l serve --internal-shard` workers, and the CI smoke job).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,18 +1,11 @@
-//! Open-loop load generator for the daemon: the machinery behind
-//! `chain2l bench-load` and the `bench_load` binary in `chain2l-bench`.
+//! Closed-loop load generator for the daemon: the machinery behind
+//! `chain2l bench-load`.
 //!
 //! Drives hundreds of concurrent pipelined connections against a running
 //! daemon from a single non-blocking readiness loop and records sustained
-//! throughput plus p50/p99/p999 latency.  Two arrival models:
-//!
-//! * **max-throughput** (default, `rps: None`): every connection keeps a
-//!   fixed pipelined window inflight, topping up as responses return — this
-//!   measures the serving stack's sustainable RPS;
-//! * **open-loop** (`rps: Some(r)`): requests are *scheduled* at a fixed
-//!   global rate, round-robin across connections, independent of
-//!   completions; latency is measured from the scheduled arrival, so queue
-//!   build-up under overload is charged to latency instead of silently
-//!   thinning the load (no coordinated omission).
+//! throughput plus p50/p99/p999 latency.  Every connection keeps a fixed
+//! pipelined window inflight, topping up as responses return — this
+//! measures the serving stack's sustainable RPS.
 //!
 //! The request mix cycles over a handful of small scenarios, so after one
 //! cold solve per shard every request is a cache hit: the numbers measure
@@ -40,11 +33,8 @@ pub struct LoadConfig {
     pub connections: usize,
     /// Requests sent per connection over the run.
     pub requests_per_connection: usize,
-    /// Pipelined inflight window per connection (max-throughput mode).
+    /// Pipelined inflight window per connection.
     pub window: usize,
-    /// Open-loop global arrival rate in requests/second; `None` runs at max
-    /// throughput.
-    pub rps: Option<f64>,
 }
 
 impl Default for LoadConfig {
@@ -54,7 +44,6 @@ impl Default for LoadConfig {
             connections: 500,
             requests_per_connection: 20,
             window: 8,
-            rps: None,
         }
     }
 }
@@ -163,36 +152,12 @@ pub fn run(config: &LoadConfig) -> io::Result<LoadReport> {
     let mut shed: u64 = 0;
     let start = Instant::now();
     let mut last_progress = start;
-    // Open-loop bookkeeping: the next globally-scheduled arrival.
-    let mut scheduled: usize = 0;
-    let mut rr_next: usize = 0;
 
-    // Max-throughput mode primes every window up front.
-    if config.rps.is_none() {
-        for lc in conns.iter_mut() {
-            prime(lc, &mix, window, per_conn);
-        }
+    for lc in conns.iter_mut() {
+        prime(lc, &mix, window, per_conn);
     }
 
     while (completed + errors) < total as u64 {
-        if let Some(rate) = config.rps {
-            // Issue every request whose scheduled arrival has passed,
-            // round-robin, charging latency from the *schedule*.
-            let elapsed = start.elapsed().as_secs_f64();
-            let due = ((elapsed * rate) as usize).min(total);
-            while scheduled < due {
-                let at = start + Duration::from_secs_f64(scheduled as f64 / rate);
-                for probe in 0..conns.len() {
-                    let index = (rr_next + probe) % conns.len();
-                    if conns[index].sent < per_conn {
-                        issue(&mut conns[index], &mix, at);
-                        rr_next = index + 1;
-                        break;
-                    }
-                }
-                scheduled += 1;
-            }
-        }
         for (index, lc) in conns.iter_mut().enumerate() {
             let mut interest = Interest::READABLE;
             if lc.conn.wants_write() {
@@ -254,9 +219,7 @@ pub fn run(config: &LoadConfig) -> io::Result<LoadReport> {
                     "daemon closed a load connection mid-run",
                 ));
             }
-            if config.rps.is_none() {
-                prime(lc, &mix, window, per_conn);
-            }
+            prime(lc, &mix, window, per_conn);
         }
         if progressed {
             last_progress = Instant::now();
@@ -296,20 +259,20 @@ pub fn run(config: &LoadConfig) -> io::Result<LoadReport> {
     })
 }
 
-/// Tops a connection's pipelined window back up (max-throughput mode).
+/// Tops a connection's pipelined window back up.
 fn prime(lc: &mut LoadConn, mix: &[SolveSpec], window: usize, per_conn: usize) {
     while lc.sent < per_conn && lc.sent - lc.answered < window {
-        issue(lc, mix, Instant::now());
+        issue(lc, mix);
     }
 }
 
 /// Issues one fresh request on a connection, stamping its latency origin.
-fn issue(lc: &mut LoadConn, mix: &[SolveSpec], at: Instant) {
+fn issue(lc: &mut LoadConn, mix: &[SolveSpec]) {
     let id = lc.issued.len() as u64;
     let spec_idx = lc.sent % mix.len();
     let spec = mix[spec_idx].clone();
     lc.conn.push_line(&protocol::encode_request(&Request::Solve { id, spec }));
-    lc.issued.push(at);
+    lc.issued.push(Instant::now());
     lc.spec_of.push(spec_idx);
     lc.attempts.push(0);
     lc.sent += 1;

@@ -264,7 +264,7 @@ fn spawn_shard(config: &ServeConfig, index: usize) -> io::Result<ShardWorker> {
         .stderr(Stdio::inherit());
     if let Some(spec) = &config.failpoints {
         // Workers arm their own registries from the environment (see
-        // `run_shard_persistent`); passing the spec explicitly covers the
+        // `shard::run_shard`); passing the spec explicitly covers the
         // `--failpoints` flag, which never touches the parent's own env.
         command.env(chain2l_core::failpoint::ENV_FAILPOINTS, spec);
     }

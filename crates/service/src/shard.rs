@@ -107,28 +107,16 @@ struct ConnSlot {
     gen: u64,
 }
 
-/// Runs an unbounded shard worker until shutdown (see [`run_shard_with`]).
-pub fn run_shard() -> std::io::Result<()> {
-    run_shard_with(EngineLimits::default())
-}
-
-/// Runs a shard worker until shutdown (see the module docs), with the
-/// worker's [`Engine`] bounded by `limits` — this is what
-/// `chain2l serve --internal-shard [--cache-cap N]` and the `chain2l-shard`
-/// binary execute, and how `chain2l serve --cache-cap N` bounds every
-/// shard's solution cache and retained DP tables.
-pub fn run_shard_with(limits: EngineLimits) -> std::io::Result<()> {
-    run_shard_persistent(limits, None)
-}
-
-/// Runs a shard worker with optional warm-start persistence: when a
-/// [`Persister`] is given, the worker loads its snapshot before serving,
-/// snapshots periodically in the background, and takes a final snapshot on
-/// every exit path (graceful shutdown and parent death alike).
-pub fn run_shard_persistent(
-    limits: EngineLimits,
-    persister: Option<Arc<Persister>>,
-) -> std::io::Result<()> {
+/// Runs a shard worker until shutdown (see the module docs) — this is what
+/// `chain2l serve --internal-shard` executes.
+///
+/// The worker's [`Engine`] is bounded by `limits`, which is how
+/// `chain2l serve --cache-cap N` bounds every shard's solution cache and
+/// retained DP tables.  When a [`Persister`] is given, the worker loads its
+/// snapshot before serving, snapshots periodically in the background, and
+/// takes a final snapshot on every exit path (graceful shutdown and parent
+/// death alike).
+pub fn run_shard(limits: EngineLimits, persister: Option<Arc<Persister>>) -> std::io::Result<()> {
     // Workers inherit the daemon's failpoint schedule through the
     // environment (`spawn_shard` forwards `--failpoints`); each worker
     // process arms its own independent per-site streams.

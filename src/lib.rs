@@ -62,8 +62,7 @@ pub use chain2l_model as model;
 pub use chain2l_sim as sim;
 
 pub use chain2l_core::{
-    optimize, Algorithm, Engine, EngineStats, IncrementalSolver, PartialCostModel, Solution,
-    SolutionCache,
+    optimize, Algorithm, Engine, EngineStats, PartialCostModel, Solution, SolutionCache,
 };
 pub use chain2l_model::{
     Action, ActionCounts, ModelError, Platform, ResilienceCosts, Scenario, Schedule, TaskChain,
