@@ -259,6 +259,12 @@ struct Store {
 }
 
 impl Store {
+    /// The slot cached for `(scenario, algorithm)` under digest `hash`, found
+    /// by allocation-free comparison inside the bucket.
+    fn find(&self, hash: u64, scenario: &Scenario, algorithm: Algorithm) -> Option<&Slot> {
+        self.buckets.get(&hash)?.iter().find(|slot| slot.fingerprint.matches(scenario, algorithm))
+    }
+
     /// Links a fresh recency node for the slot being inserted under `hash`.
     fn lru_insert(&mut self, hash: u64) -> usize {
         let id = self.lru.push_front();
@@ -394,13 +400,8 @@ impl SolutionCache {
         let hash = ScenarioFingerprint::stable_hash_of(scenario, algorithm);
         let entry = {
             let mut store = self.store.lock().expect("cache store poisoned");
-            let hit = store
-                .buckets
-                .get(&hash)
-                .and_then(|bucket| {
-                    bucket.iter().find(|slot| slot.fingerprint.matches(scenario, algorithm))
-                })
-                .map(|slot| (slot.lru_id, slot.entry.clone()));
+            let hit =
+                store.find(hash, scenario, algorithm).map(|slot| (slot.lru_id, slot.entry.clone()));
             match hit {
                 Some((lru_id, entry)) => {
                     store.lru.touch(lru_id);
@@ -432,6 +433,26 @@ impl SolutionCache {
         // Outside the store lock: other fingerprints stay unblocked while
         // the (possibly expensive) DP runs.
         entry.get_or_init(|| Arc::new(solve())).clone()
+    }
+
+    /// The settled solution for `(scenario, algorithm)`, if there is one —
+    /// a lookup that never solves, never blocks and never allocates.
+    ///
+    /// A settled entry counts one hit and is touched in the recency list
+    /// exactly as a [`Self::solve_with`] hit would be.  An absent
+    /// fingerprint, or one whose solve is still in flight, returns `None`
+    /// and counts nothing: the caller's later [`Self::solve_with`] then
+    /// counts the miss or the hit it would have counted anyway.  Only the
+    /// store mutex is taken, and no caller holds it across a solve.
+    pub fn cached(&self, scenario: &Scenario, algorithm: Algorithm) -> Option<Arc<Solution>> {
+        let hash = ScenarioFingerprint::stable_hash_of(scenario, algorithm);
+        let mut store = self.store.lock().expect("cache store poisoned");
+        let (lru_id, solution) = store
+            .find(hash, scenario, algorithm)
+            .and_then(|slot| Some((slot.lru_id, slot.entry.get()?.clone())))?;
+        store.lru.touch(lru_id);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(solution)
     }
 
     /// Hit/miss/entry statistics accumulated since construction.
@@ -589,6 +610,28 @@ mod tests {
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn cached_counts_only_settled_entries() {
+        let cache = SolutionCache::new();
+        let s = hera_uniform(8);
+        // Absent: nothing is counted and nothing is inserted.
+        assert!(cache.cached(&s, Algorithm::TwoLevel).is_none());
+        assert_eq!((cache.stats().hits, cache.stats().misses, cache.len()), (0, 0, 0));
+        // In flight: the entry exists but its solve has not settled.
+        let solved = cache.solve_with(&s, Algorithm::TwoLevel, || {
+            assert!(cache.cached(&s, Algorithm::TwoLevel).is_none());
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1), "{stats:?}");
+            optimize(&s, Algorithm::TwoLevel)
+        });
+        // Settled: the cached allocation, and exactly one more hit.
+        let hit = cache.cached(&s, Algorithm::TwoLevel).expect("settled entry");
+        assert!(Arc::ptr_eq(&hit, &solved));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        assert!(cache.cached(&s, Algorithm::SingleLevel).is_none(), "another algorithm");
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

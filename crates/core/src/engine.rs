@@ -480,6 +480,19 @@ impl Engine {
         self.cache.solve_with(scenario, algorithm, || self.route(scenario, algorithm))
     }
 
+    /// The settled cached solution for `(scenario, algorithm)`, without ever
+    /// solving, blocking or allocating — `None` when the fingerprint is not
+    /// cached or its solve is still in flight (see [`SolutionCache::cached`]).
+    ///
+    /// A `Some` counts as one cache hit, exactly as the same request through
+    /// [`Self::solve`] would; a `None` counts nothing, so following it with
+    /// [`Self::solve`] leaves every counter where [`Self::solve`] alone
+    /// would have.  This is how a service answers hits without handing them
+    /// to a solver thread.
+    pub fn cached(&self, scenario: &Scenario, algorithm: Algorithm) -> Option<Arc<Solution>> {
+        self.cache.cached(scenario, algorithm)
+    }
+
     /// Solves every request and returns the solutions **in request order**,
     /// running the misses concurrently on the work-stealing pool.
     pub fn solve_batch(&self, requests: &[SolveRequest]) -> Vec<Arc<Solution>> {
@@ -1006,6 +1019,36 @@ mod tests {
         let sol = engine.solve(&paper(8), Algorithm::SingleLevel);
         let direct = optimize(&paper(8), Algorithm::SingleLevel);
         assert_eq!(sol.expected_makespan.to_bits(), direct.expected_makespan.to_bits());
+    }
+
+    #[test]
+    fn cached_answers_settled_hits_and_counts_like_solve() {
+        let engine = Engine::new();
+        let s = paper(8);
+        let fresh = engine.stats();
+        assert!(engine.cached(&s, Algorithm::TwoLevel).is_none());
+        assert_eq!(engine.stats(), fresh, "a miss must count nothing");
+        let solved = engine.solve(&s, Algorithm::TwoLevel);
+        let hit = engine.cached(&s, Algorithm::TwoLevel).expect("settled entry");
+        assert!(Arc::ptr_eq(&hit, &solved));
+        let stats = engine.stats();
+        assert_eq!((stats.cache.hits, stats.cache.misses, stats.cold()), (1, 1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn cached_touch_keeps_its_entry_from_being_the_lru_victim() {
+        let engine = Engine::with_limits(EngineLimits::entry_cap(2));
+        let (a, b, c) = (paper(4), paper(5), paper(6));
+        engine.solve(&a, Algorithm::TwoLevel);
+        engine.solve(&b, Algorithm::TwoLevel);
+        // A `cached` hit on `a` makes `b` the least recently used…
+        assert!(engine.cached(&a, Algorithm::TwoLevel).is_some());
+        // …so inserting `c` evicts `b`, not `a`.
+        engine.solve(&c, Algorithm::TwoLevel);
+        assert!(engine.cached(&a, Algorithm::TwoLevel).is_some(), "a must still be cached");
+        assert!(engine.cached(&b, Algorithm::TwoLevel).is_none(), "b must have been evicted");
+        let stats = engine.stats();
+        assert_eq!((stats.cache.hits, stats.cache.evictions), (2, 1), "{stats:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Counting-allocator proof of the allocation-free warm path: a repeat
-//! [`Engine::solve`] of an already-cached scenario must perform **zero**
-//! heap allocations.
+//! [`Engine::solve`] of an already-cached scenario, and an
+//! [`Engine::cached`] lookup of it, must perform **zero** heap allocations.
 //!
 //! The warm path is: stream the process-stable fingerprint digest straight
 //! off the scenario (no fingerprint materialised), find the cache slot by
@@ -55,21 +55,28 @@ fn warm_engine_repeat_solve_performs_zero_heap_allocations() {
     assert_eq!(cold.expected_makespan.to_bits(), reference.expected_makespan.to_bits());
     assert!(ALLOCATIONS.load(Ordering::Relaxed) > 0, "cold solve must have allocated");
 
-    // Warm repeat solves: the measured window must not touch the heap.
-    for round in 0..3 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let warm = engine.solve(&scenario, Algorithm::TwoLevelPartial);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(
-            after - before,
-            0,
-            "warm solve round {round} performed {} heap allocation(s)",
-            after - before
-        );
-        assert_eq!(warm.expected_makespan.to_bits(), cold.expected_makespan.to_bits());
-        assert_eq!(warm.schedule, cold.schedule);
+    // Warm repeat solves and settled-hit lookups: the measured window must
+    // not touch the heap.
+    for name in ["solve", "cached"] {
+        for round in 0..3 {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let warm = match name {
+                "solve" => Some(engine.solve(&scenario, Algorithm::TwoLevelPartial)),
+                _ => engine.cached(&scenario, Algorithm::TwoLevelPartial),
+            };
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(
+                after - before,
+                0,
+                "warm {name} round {round} performed {} heap allocation(s)",
+                after - before
+            );
+            let warm = warm.expect("settled entry");
+            assert_eq!(warm.expected_makespan.to_bits(), cold.expected_makespan.to_bits());
+            assert_eq!(warm.schedule, cold.schedule);
+        }
     }
     let stats = engine.stats();
-    assert_eq!(stats.cache.hits, 3, "{stats:?}");
+    assert_eq!(stats.cache.hits, 6, "{stats:?}");
     assert_eq!(stats.cache.misses, 1, "{stats:?}");
 }

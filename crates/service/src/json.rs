@@ -6,28 +6,33 @@
 //! no `serde_json` — with a strict parser (malformed or truncated input is a
 //! clean `Err`, never a panic) and an escaping writer.
 //!
+//! The parser scans the line's bytes in place and returns an [`Object`]: a
+//! small list of fields whose keys and values borrow from the line.  A
+//! string is copied only when it contains escapes, so a typical frame costs
+//! one allocation (the field list) to parse.
+//!
 //! Numbers keep their raw token until a caller asks for a concrete type, so
 //! `u64` identifiers survive untouched and `f64` payloads written with
 //! Rust's shortest round-trip formatting (`{:?}`) parse back to the exact
 //! same bit pattern.  Non-finite floats encode as `null` (JSON has no
 //! NaN/Infinity) and decode as `f64::NAN`.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
-/// One JSON value of the flat-object subset.
+/// One JSON value of the flat-object subset, borrowing from the parsed line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, kept as its raw token (always a valid `f64` literal).
-    Number(String),
-    /// A string (escapes already decoded).
-    Str(String),
+    Number(&'a str),
+    /// A string (escapes already decoded; owned only when it had escapes).
+    Str(Cow<'a, str>),
 }
 
-impl Value {
+impl Value<'_> {
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -71,136 +76,204 @@ impl Value {
     }
 }
 
+/// Field-list capacity reserved per object: the longest protocol frame (a
+/// `health` response) has 11 fields, so no frame grows the list.
+const FIELDS_HINT: usize = 12;
+
+/// One parsed flat object: its fields in input order, borrowing from the
+/// line they were parsed from.
+#[derive(Debug)]
+pub struct Object<'a> {
+    fields: Vec<(Cow<'a, str>, Value<'a>)>,
+}
+
+impl<'a> Object<'a> {
+    /// The value of `key`; when a key repeats, the last occurrence wins.
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
+        self.fields.iter().rev().find(|(name, _)| name == key).map(|(_, value)| value)
+    }
+}
+
 /// Parses one flat JSON object; trailing non-whitespace is an error.
-pub fn parse_object(input: &str) -> Result<BTreeMap<String, Value>, String> {
-    let mut parser = Parser { chars: input.chars().collect(), pos: 0 };
+pub fn parse_object(input: &str) -> Result<Object<'_>, String> {
+    let mut parser = Parser { input, pos: 0 };
     let object = parser.object()?;
     parser.skip_ws();
-    if parser.pos != parser.chars.len() {
+    if parser.pos != input.len() {
         return Err(format!("trailing input after object at offset {}", parser.pos));
     }
     Ok(object)
 }
 
-struct Parser {
-    chars: Vec<char>,
+/// A byte cursor over the line.  Every slice it takes starts and ends at an
+/// ASCII byte (a quote, a backslash, a delimiter) or at the end of the
+/// input, so slices always fall on `char` boundaries.
+struct Parser<'a> {
+    input: &'a str,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek();
+        if b.is_some() {
             self.pos += 1;
         }
-        c
+        b
+    }
+
+    /// The character starting at byte `at`, for error messages.
+    fn char_at(&self, at: usize) -> char {
+        self.input.get(at..).and_then(|rest| rest.chars().next()).unwrap_or('\u{FFFD}')
+    }
+
+    /// The input from byte `start` up to the cursor.
+    fn since(&self, start: usize) -> Result<&'a str, String> {
+        self.input
+            .get(start..self.pos)
+            .ok_or_else(|| format!("cursor off a character boundary at offset {}", self.pos))
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\r' | '\n')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, want: char) -> Result<(), String> {
+    fn expect(&mut self, want: u8) -> Result<(), String> {
+        let at = self.pos;
         match self.bump() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(format!("expected `{want}` but found `{c}` at offset {}", self.pos - 1)),
-            None => Err(format!("expected `{want}` but input ended")),
+            Some(b) if b == want => Ok(()),
+            Some(_) => Err(format!(
+                "expected `{}` but found `{}` at offset {at}",
+                char::from(want),
+                self.char_at(at)
+            )),
+            None => Err(format!("expected `{}` but input ended", char::from(want))),
         }
     }
 
-    fn object(&mut self) -> Result<BTreeMap<String, Value>, String> {
+    fn object(&mut self) -> Result<Object<'a>, String> {
         self.skip_ws();
-        self.expect('{')?;
-        let mut map = BTreeMap::new();
+        self.expect(b'{')?;
+        let mut fields = Vec::with_capacity(FIELDS_HINT);
         self.skip_ws();
-        if self.peek() == Some('}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(map);
+            return Ok(Object { fields });
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             let value = self.value()?;
-            map.insert(key, value);
+            fields.push((key, value));
             self.skip_ws();
+            let at = self.pos;
             match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(map),
-                Some(c) => return Err(format!("expected `,` or `}}` but found `{c}`")),
+                Some(b',') => continue,
+                Some(b'}') => return Ok(Object { fields }),
+                Some(_) => {
+                    return Err(format!("expected `,` or `}}` but found `{}`", self.char_at(at)))
+                }
                 None => return Err("object not closed before input ended".to_string()),
             }
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value<'a>, String> {
         self.skip_ws();
         match self.peek() {
-            Some('"') => Ok(Value::Str(self.string()?)),
-            Some('t') => self.literal("true", Value::Bool(true)),
-            Some('f') => self.literal("false", Value::Bool(false)),
-            Some('n') => self.literal("null", Value::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!("unexpected `{c}` at offset {}", self.pos)),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(_) => {
+                Err(format!("unexpected `{}` at offset {}", self.char_at(self.pos), self.pos))
+            }
             None => Err("expected a value but input ended".to_string()),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        for want in word.chars() {
-            match self.bump() {
-                Some(c) if c == want => {}
-                _ => return Err(format!("malformed literal (expected `{word}`)")),
+    fn literal(&mut self, word: &str, value: Value<'a>) -> Result<Value<'a>, String> {
+        match self.input.get(self.pos..) {
+            Some(rest) if rest.starts_with(word) => {
+                self.pos += word.len();
+                Ok(value)
             }
+            _ => Err(format!("malformed literal (expected `{word}`)")),
         }
-        Ok(value)
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value<'a>, String> {
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || "+-.eE".contains(c)) {
+        while matches!(self.peek(), Some(b) if b.is_ascii_digit() || b"+-.eE".contains(&b)) {
             self.pos += 1;
         }
-        // lint: allow(panic-index: `pos` only advances via peek() hits, so start..pos stays within chars)
-        let raw: String = self.chars[start..self.pos].iter().collect();
+        let raw = self.since(start)?;
         if raw.parse::<f64>().is_err() {
             return Err(format!("malformed number `{raw}`"));
         }
         Ok(Value::Number(raw))
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
+    /// A quoted string: borrowed from the input when it holds no escape,
+    /// otherwise decoded into an owned copy.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let mut owned: Option<String> = None;
+        // Start of the current run of bytes that need no decoding.
+        let mut run = self.pos;
         loop {
-            match self.bump() {
+            match self.peek() {
                 None => return Err("string not closed before input ended".to_string()),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('b') => out.push('\u{0008}'),
-                    Some('f') => out.push('\u{000C}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => out.push(self.unicode_escape()?),
-                    Some(c) => return Err(format!("unknown escape `\\{c}`")),
-                    None => return Err("escape at end of input".to_string()),
-                },
-                Some(c) if (c as u32) < 0x20 => {
+                Some(b'"') => {
+                    let tail = self.since(run)?;
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(self.since(run)?);
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                    run = self.pos;
+                }
+                Some(b) if b < 0x20 => {
                     return Err("unescaped control character in string".to_string())
                 }
-                Some(c) => out.push(c),
+                Some(_) => self.pos += 1,
             }
+        }
+    }
+
+    /// Decodes one escape; the cursor is just past its backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        match self.bump() {
+            Some(b'"') => Ok('"'),
+            Some(b'\\') => Ok('\\'),
+            Some(b'/') => Ok('/'),
+            Some(b'b') => Ok('\u{0008}'),
+            Some(b'f') => Ok('\u{000C}'),
+            Some(b'n') => Ok('\n'),
+            Some(b'r') => Ok('\r'),
+            Some(b't') => Ok('\t'),
+            Some(b'u') => self.unicode_escape(),
+            Some(_) => Err(format!("unknown escape `\\{}`", self.char_at(at))),
+            None => Err("escape at end of input".to_string()),
         }
     }
 
@@ -209,7 +282,7 @@ impl Parser {
         for _ in 0..4 {
             let digit = self
                 .bump()
-                .and_then(|c| c.to_digit(16))
+                .and_then(|b| char::from(b).to_digit(16))
                 .ok_or_else(|| "malformed \\u escape".to_string())?;
             code = code * 16 + digit;
         }
@@ -220,7 +293,7 @@ impl Parser {
         let hi = self.hex4()?;
         // Surrogate pair: a high surrogate must be followed by `\uDCxx`.
         let code = if (0xD800..0xDC00).contains(&hi) {
-            if self.bump() != Some('\\') || self.bump() != Some('u') {
+            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
                 return Err("lone high surrogate in \\u escape".to_string());
             }
             let lo = self.hex4()?;
@@ -335,19 +408,21 @@ mod tests {
             .f64("nan", f64::NAN)
             .bool("b", true)
             .finish();
-        let map = parse_object(&line).unwrap();
-        assert_eq!(map["s"].as_str(), Some("a \"quoted\"\\ line\nwith\ttabs and ünïcode"));
-        assert_eq!(map["n"].as_u64(), Some(u64::MAX));
-        assert_eq!(map["x"].as_f64().unwrap().to_bits(), 25_000.125f64.to_bits());
-        assert!(map["nan"].as_f64().unwrap().is_nan());
-        assert_eq!(map["b"].as_bool(), Some(true));
+        let object = parse_object(&line).unwrap();
+        let get = |key: &str| object.get(key).unwrap();
+        assert_eq!(get("s").as_str(), Some("a \"quoted\"\\ line\nwith\ttabs and ünïcode"));
+        assert_eq!(get("n").as_u64(), Some(u64::MAX));
+        assert_eq!(get("x").as_f64().unwrap().to_bits(), 25_000.125f64.to_bits());
+        assert!(get("nan").as_f64().unwrap().is_nan());
+        assert_eq!(get("b").as_bool(), Some(true));
+        assert!(object.get("missing").is_none());
     }
 
     #[test]
     fn shortest_float_encoding_round_trips_exactly() {
         for x in [0.1f64, 1.0 / 3.0, 1e-300, 2.5e17, -0.0, f64::MIN_POSITIVE] {
             let line = ObjectBuilder::new().f64("x", x).finish();
-            let back = parse_object(&line).unwrap()["x"].as_f64().unwrap();
+            let back = parse_object(&line).unwrap().get("x").unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
         }
     }
@@ -377,14 +452,14 @@ mod tests {
 
     #[test]
     fn surrogate_pairs_and_standard_escapes_decode() {
-        let map =
+        let object =
             parse_object("{\"s\":\"\\ud83e\\udde0 \\u00e9 \\/ \\b\\f\"}").expect("valid escapes");
-        assert_eq!(map["s"].as_str(), Some("\u{1F9E0} é / \u{0008}\u{000C}"));
+        assert_eq!(object.get("s").unwrap().as_str(), Some("\u{1F9E0} é / \u{0008}\u{000C}"));
     }
 
     #[test]
     fn duplicate_keys_keep_the_last_value() {
-        let map = parse_object("{\"a\":1,\"a\":2}").unwrap();
-        assert_eq!(map["a"].as_u64(), Some(2));
+        let object = parse_object("{\"a\":1,\"a\":2}").unwrap();
+        assert_eq!(object.get("a").unwrap().as_u64(), Some(2));
     }
 }

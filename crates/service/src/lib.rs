@@ -9,20 +9,23 @@
 //! * [`protocol`] — the versioned NDJSON frames (requests, responses, the
 //!   shard hello line) and the spec → scenario resolution both sides share;
 //! * [`json`] — the hand-rolled flat-object JSON subset the frames use
-//!   (strict parsing, shortest-round-trip floats);
+//!   (strict parsing in place, borrowing from the line; shortest-round-trip
+//!   floats);
 //! * [`frame`] — incremental NDJSON frame decoding (partial frames,
 //!   per-frame error isolation) and the buffered non-blocking connection
 //!   with its ordered-delivery inflight window;
 //! * [`shard`] — the worker process: one engine per process, one readiness
-//!   loop multiplexing loopback connections over a solver-thread pool,
-//!   exiting on `shutdown` or parent death;
+//!   loop multiplexing loopback connections that answers cache hits itself
+//!   and hands only cache misses to a solver-thread pool, exiting on
+//!   `shutdown` or parent death;
 //! * [`persist`] — warm-start persistence: per-shard crash-consistent
 //!   snapshots (`--state-dir`), loaded at boot, written periodically and on
 //!   every exit path, so a restarted daemon serves warm;
 //! * [`server`] — the parent daemon: one readiness loop for the public
 //!   listener and all shard links, fingerprint routing with internal-id
-//!   re-keying, worker supervision (respawn + inflight replay), graceful
-//!   shutdown with per-shard statistics;
+//!   re-keying (worker replies are relayed by splicing the client id into
+//!   their bytes, not re-encoded), worker supervision (respawn + inflight
+//!   replay), graceful shutdown with per-shard statistics;
 //! * [`client`] — pipelined remote batch solving with reconnect-and-resend
 //!   retry (exponential backoff, deterministic seeded jitter, per-request
 //!   deadlines) and the control ops (`ping`/`stats`/`health`/`shutdown`);

@@ -37,11 +37,11 @@
 //! Unknown fields are ignored (forward compatibility); a missing or
 //! different `v` is a hard error (frames are versioned, not guessed).
 
-use crate::json::{self, ObjectBuilder, Value};
+use crate::json::{self, Object, ObjectBuilder, Value};
 use chain2l_core::{Algorithm, Solution};
 use chain2l_model::platform::scr;
 use chain2l_model::{Scenario, WeightPattern};
-use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// The protocol version this build speaks.
 pub const VERSION: u64 = 2;
@@ -317,7 +317,37 @@ pub fn parse_hello(line: &str) -> Result<u16, ProtocolError> {
         .ok_or_else(|| ProtocolError::new("hello frame carries no valid port"))
 }
 
-fn checked_object(line: &str) -> Result<BTreeMap<String, Value>, ProtocolError> {
+/// The head every response frame starts with: [`encode_response`] writes
+/// `v` and then `id` first, whatever the response kind.
+const RESPONSE_HEAD: &str = "{\"v\":2,\"id\":";
+
+/// Splits a response frame into its id and the bytes after the id, reading
+/// only the fixed head `{"v":2,"id":` and the id's digits — the rest of the
+/// frame is not parsed.  `None` when the frame does not start with that head
+/// or no `u64` follows it.
+///
+/// With [`with_response_id`] this re-keys a frame without parsing and
+/// re-encoding it: `with_response_id(new, tail)` is byte for byte the
+/// [`encode_response`] of the same response carrying id `new`.
+pub fn split_response_id(line: &str) -> Option<(u64, &str)> {
+    let rest = line.strip_prefix(RESPONSE_HEAD)?;
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let (id, tail) = rest.split_at_checked(digits)?;
+    Some((id.parse().ok()?, tail))
+}
+
+/// Rebuilds a response frame under id `id` from the `tail` that
+/// [`split_response_id`] returned.
+pub fn with_response_id(id: u64, tail: &str) -> String {
+    // 20 bytes hold any u64 in decimal.
+    let mut line = String::with_capacity(RESPONSE_HEAD.len() + 20 + tail.len());
+    line.push_str(RESPONSE_HEAD);
+    let _ = write!(line, "{id}"); // writing to a String cannot fail
+    line.push_str(tail);
+    line
+}
+
+fn checked_object(line: &str) -> Result<Object<'_>, ProtocolError> {
     let map = json::parse_object(line).map_err(ProtocolError::new)?;
     match field(&map, "v")?.as_u64() {
         Some(VERSION) => Ok(map),
@@ -328,18 +358,18 @@ fn checked_object(line: &str) -> Result<BTreeMap<String, Value>, ProtocolError> 
     }
 }
 
-fn field<'m>(map: &'m BTreeMap<String, Value>, key: &str) -> Result<&'m Value, ProtocolError> {
+fn field<'m, 'a>(map: &'m Object<'a>, key: &str) -> Result<&'m Value<'a>, ProtocolError> {
     map.get(key).ok_or_else(|| ProtocolError::new(format!("missing field `{key}`")))
 }
 
-fn str_field(map: &BTreeMap<String, Value>, key: &str) -> Result<String, ProtocolError> {
+fn str_field(map: &Object<'_>, key: &str) -> Result<String, ProtocolError> {
     field(map, key)?
         .as_str()
         .map(str::to_string)
         .ok_or_else(|| ProtocolError::new(format!("field `{key}` is not a string")))
 }
 
-fn id_field(map: &BTreeMap<String, Value>) -> Result<u64, ProtocolError> {
+fn id_field(map: &Object<'_>) -> Result<u64, ProtocolError> {
     field(map, "id")?
         .as_u64()
         .ok_or_else(|| ProtocolError::new("field `id` is not an unsigned integer"))
@@ -581,6 +611,70 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// One response of every kind, each carrying id `id`.
+    fn every_response_kind(id: u64) -> Vec<Response> {
+        vec![
+            Response::Solve {
+                id,
+                result: SolveResult {
+                    expected_makespan: 25_822.971_312_345_67,
+                    normalized_makespan: f64::NAN,
+                    disk: 1,
+                    memory: 3,
+                    guaranteed: 5,
+                    partial: 2,
+                },
+            },
+            Response::Error { id, message: "unknown platform `titan`".into() },
+            Response::overloaded(id),
+            Response::Pong { id },
+            Response::Stats { id, shards: 2, detail: "shard 0: \"x\"\nshard 1: ü".into() },
+            Response::Health {
+                id,
+                report: HealthReport {
+                    shards: 1,
+                    live: 1,
+                    detail: "shard 0: live".into(),
+                    ..Default::default()
+                },
+            },
+            Response::ShuttingDown { id },
+        ]
+    }
+
+    #[test]
+    fn splicing_the_id_equals_re_encoding_every_response_kind() {
+        for old in [0, 1, u64::MAX] {
+            for (response, kind) in every_response_kind(old).into_iter().zip(0..) {
+                let line = encode_response(&response);
+                let (id, tail) = split_response_id(&line).expect("response head");
+                assert_eq!(id, old, "{line}");
+                for new in [0, 1, u64::MAX] {
+                    let rekeyed = every_response_kind(new).swap_remove(kind);
+                    assert_eq!(with_response_id(new, tail), encode_response(&rekeyed), "{line}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frames_without_a_response_head_have_no_id() {
+        for line in [
+            "",
+            "{\"v\":2,\"id\":",
+            "{\"v\":2,\"id\":,\"ok\":true}",
+            "{\"v\":2,\"id\":-1,\"ok\":true}",
+            "{\"v\":2,\"id\":18446744073709551616,\"ok\":true}",
+            "{\"v\":3,\"id\":7,\"ok\":true}",
+            "{\"id\":7,\"v\":2,\"ok\":true}",
+            " {\"v\":2,\"id\":7}",
+            "garbage",
+        ] {
+            assert_eq!(split_response_id(line), None, "{line}");
+        }
+        assert_eq!(split_response_id("{\"v\":2,\"id\":7}"), Some((7, "}")));
     }
 
     #[test]

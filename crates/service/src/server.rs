@@ -16,7 +16,12 @@
 //! tolerated) and dispatched immediately; each forwarded request is
 //! re-keyed with a parent-unique internal id — client ids from different
 //! connections may collide on a shared link — and the worker's response is
-//! re-keyed back before relay.  Responses complete **out of order** as
+//! re-keyed back before relay.  The relay reads only the id at the fixed
+//! head of the worker's reply and splices the client id into the worker's
+//! bytes ([`protocol::split_response_id`], [`protocol::with_response_id`]);
+//! only `stats` replies, whose detail the parent aggregates, are parsed in
+//! full.  So the parent parses each client request once and no solve reply
+//! at all.  Responses complete **out of order** as
 //! workers finish, but every client connection releases its responses in
 //! request order through the [`crate::frame::Conn`] sequence window, so a
 //! connection's response byte stream is a deterministic function of its
@@ -840,25 +845,27 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    /// Re-keys one worker response to its origin and delivers it.
+    /// Re-keys one worker response to its origin and delivers it.  Only the
+    /// id is read: a solve or error reply is relayed by splicing the client
+    /// id into the worker's bytes, and only a `stats` reply, whose detail is
+    /// aggregated, is parsed in full.
     fn dispatch_link_response(&mut self, shard: usize, line: &str) {
-        let Ok(response) = protocol::parse_response(line) else {
+        let Some((internal, tail)) = protocol::split_response_id(line) else {
             return; // a worker never sends malformed frames; ignore
         };
-        let Some(pending) = self.pending.remove(&response.id()) else {
+        let Some(pending) = self.pending.remove(&internal) else {
             return; // stale (answered by a pre-death worker, then replayed)
         };
         self.shards[shard].consecutive_respawns = 0;
         match pending.kind {
             PendingKind::Solve { slot, gen, seq, client_id } => {
                 self.solve_inflight -= 1;
-                let rekeyed = with_id(response, client_id);
-                self.complete_client(slot, gen, seq, &protocol::encode_response(&rekeyed));
+                self.complete_client(slot, gen, seq, &protocol::with_response_id(client_id, tail));
             }
             PendingKind::Stats { agg, shard: stats_shard } => {
                 if let Some(entry) = self.aggs.get_mut(&agg) {
-                    let detail = match response {
-                        Response::Stats { detail, .. } => {
+                    let detail = match protocol::parse_response(line) {
+                        Ok(Response::Stats { detail, .. }) => {
                             format!("shard {stats_shard}: {detail}")
                         }
                         other => format!("shard {stats_shard}: unexpected response {other:?}"),
@@ -1051,20 +1058,6 @@ impl<'a> EventLoop<'a> {
     }
 }
 
-/// Rebuilds a response with a different id (internal → client re-keying).
-/// Floats pass through as parsed `f64`s and re-encode shortest-round-trip,
-/// so every byte except the id is preserved exactly.
-fn with_id(response: Response, id: u64) -> Response {
-    match response {
-        Response::Solve { result, .. } => Response::Solve { id, result },
-        Response::Stats { shards, detail, .. } => Response::Stats { id, shards, detail },
-        Response::Pong { .. } => Response::Pong { id },
-        Response::ShuttingDown { .. } => Response::ShuttingDown { id },
-        Response::Health { report, .. } => Response::Health { id, report },
-        Response::Error { message, .. } => Response::Error { id, message },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,13 +1070,5 @@ mod tests {
         let capped = ServeConfig::self_hosted("127.0.0.1:0", 2, Some(128)).unwrap();
         assert_eq!(capped.shard_args, vec!["serve", "--internal-shard", "--cache-cap", "128"]);
         assert_eq!(capped.shards, 2);
-    }
-
-    #[test]
-    fn with_id_rekeys_every_response_kind() {
-        let err = with_id(Response::Error { id: 7, message: "x".into() }, 42);
-        assert!(matches!(err, Response::Error { id: 42, .. }));
-        let pong = with_id(Response::Pong { id: 7 }, 42);
-        assert_eq!(pong.id(), 42);
     }
 }

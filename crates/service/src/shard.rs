@@ -4,20 +4,25 @@
 //!
 //! A worker binds an ephemeral `127.0.0.1` port, announces it to the parent
 //! daemon with one [`protocol::encode_hello`] line on stdout, and then
-//! multiplexes every connection on a single [`mio_lite::Poll`] loop: frames
-//! are decoded as they arrive (partial frames tolerated), solve requests are
-//! dispatched to a small solver-thread pool sharing the process's [`Engine`]
-//! (whose own cache and retained DP tables are this shard's disjoint slice
-//! of the fingerprint space — the parent only routes a fingerprint here when
-//! `stable_hash() % shards` says so), and responses complete **out of
-//! order** as solves finish.  Each connection releases its responses in
-//! request order through the [`crate::frame::Conn`] sequence window, so a
-//! worker's response stream is a deterministic function of its request
-//! stream regardless of solver-thread timing.
+//! multiplexes every connection on a single [`mio_lite::Poll`] loop.  Frames
+//! are decoded as they arrive (partial frames tolerated) and each is parsed
+//! **once**, on the loop.  Whatever can be answered without running a solve
+//! is answered right there: control frames (`ping` / `stats` / malformed
+//! input), invalid specs, and **cache hits** — a settled
+//! [`Engine::cached`] lookup never blocks, never allocates and counts the
+//! same hit a solve would.  Only a cache miss becomes a `Job` (carrying
+//! the already-resolved scenario) for a small solver-thread pool sharing the
+//! process's engine, whose cache and retained DP tables are this shard's
+//! disjoint slice of the fingerprint space: the parent only routes a
+//! fingerprint here when `stable_hash() % shards` says so.  Finished solves
+//! re-enter the loop through a `UnixStream::pair` waker.
 //!
-//! Control frames (`ping` / `stats` / malformed input) are answered inline
-//! on the event loop; completed solves re-enter it through a
-//! `UnixStream::pair` waker.
+//! Answers complete **out of order** — a hit completes at once, a miss when
+//! its solve finishes — but each connection releases its responses in
+//! request order through the [`crate::frame::Conn`] sequence window, so a
+//! hit queued behind a pending miss waits for it, and a worker's response
+//! stream is a deterministic function of its request stream regardless of
+//! solver-thread timing.
 //!
 //! Lifecycle: the worker exits when it receives a `shutdown` frame (sent by
 //! the parent during graceful shutdown, acknowledged and flushed first)
@@ -29,7 +34,8 @@
 use crate::frame::{Conn, FrameError};
 use crate::persist::Persister;
 use crate::protocol::{self, Request, Response, SolveResult};
-use chain2l_core::{Engine, EngineLimits};
+use chain2l_core::{Algorithm, Engine, EngineLimits, Solution};
+use chain2l_model::Scenario;
 use mio_lite::{Events, Interest, Poll, Token};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -48,38 +54,53 @@ const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
 const CONN_BASE: usize = 2;
 
-/// Computes the response to one request line; never panics, whatever the
-/// line contains.
-pub fn respond(line: &str, engine: &Engine) -> Response {
-    match protocol::parse_request(line) {
-        Err(e) => Response::Error { id: protocol::best_effort_id(line), message: e.to_string() },
-        Ok(Request::Ping { id }) => Response::Pong { id },
-        Ok(Request::Stats { id }) => {
-            Response::Stats { id, shards: 1, detail: engine.stats().to_string() }
-        }
-        Ok(Request::Shutdown { id }) => Response::ShuttingDown { id },
-        // Health is answered by the daemon from its supervision state; a
-        // worker reached directly has no shard fleet to report on.
-        Ok(Request::Health { id }) => {
-            Response::Error { id, message: "health is a daemon-level op".into() }
-        }
-        Ok(Request::Solve { id, spec }) => match protocol::resolve_spec(&spec) {
-            Err(message) => Response::Error { id, message },
-            Ok((scenario, algorithm)) => Response::Solve {
-                id,
-                result: SolveResult::from_solution(&engine.solve(&scenario, algorithm)),
-            },
-        },
-    }
+/// How the event loop answers one parsed request.
+enum Answer {
+    /// Answered on the loop: control frames, invalid specs and settled
+    /// cache hits.
+    Now(Response),
+    /// A solve the cache cannot answer yet, already resolved: it goes to
+    /// the solver pool.
+    Solve { id: u64, scenario: Scenario, algorithm: Algorithm },
 }
 
-/// One solve handed to the pool; `gen` guards against a connection slot
-/// being reused while the solve was in flight.
+/// Answers one parsed request without ever running or waiting for a solve.
+fn respond(request: Request, engine: &Engine) -> Answer {
+    let response = match request {
+        Request::Ping { id } => Response::Pong { id },
+        Request::Stats { id } => {
+            Response::Stats { id, shards: 1, detail: engine.stats().to_string() }
+        }
+        Request::Shutdown { id } => Response::ShuttingDown { id },
+        // Health is answered by the daemon from its supervision state; a
+        // worker reached directly has no shard fleet to report on.
+        Request::Health { id } => {
+            Response::Error { id, message: "health is a daemon-level op".into() }
+        }
+        Request::Solve { id, spec } => match protocol::resolve_spec(&spec) {
+            Err(message) => Response::Error { id, message },
+            Ok((scenario, algorithm)) => match engine.cached(&scenario, algorithm) {
+                Some(solution) => solved(id, &solution),
+                None => return Answer::Solve { id, scenario, algorithm },
+            },
+        },
+    };
+    Answer::Now(response)
+}
+
+fn solved(id: u64, solution: &Solution) -> Response {
+    Response::Solve { id, result: SolveResult::from_solution(solution) }
+}
+
+/// One cache miss handed to the pool; `gen` guards against a connection
+/// slot being reused while the solve was in flight.
 struct Job {
     slot: usize,
     gen: u64,
     seq: u64,
-    line: String,
+    id: u64,
+    scenario: Scenario,
+    algorithm: Algorithm,
 }
 
 /// One finished solve travelling back to the event loop.
@@ -305,9 +326,10 @@ fn close_slot(poll: &mut Poll, slots: &mut [Option<ConnSlot>], index: usize) {
     }
 }
 
-/// Admits decoded frames while the window has room: solves go to the pool,
-/// everything else is answered inline (still through the sequence window, so
-/// interleaved control frames cannot reorder a connection's stream).
+/// Admits decoded frames while the window has room.  Each frame is parsed
+/// once; everything [`respond`] can answer completes here, on the event
+/// loop (still through the sequence window, so an answer cannot overtake an
+/// earlier request on its connection), and cache misses go to the pool.
 fn pump(
     slot: &mut ConnSlot,
     index: usize,
@@ -321,25 +343,27 @@ fn pump(
             None => break,
         };
         let seq = slot.conn.accept_seq();
-        match frame {
-            Err(err) => {
-                let response = Response::Error { id: 0, message: frame_error_message(&err) };
-                slot.conn.complete(seq, &protocol::encode_response(&response));
-            }
-            Ok(line) => {
-                if matches!(protocol::parse_request(&line), Ok(Request::Solve { .. })) {
-                    let job = Job { slot: index, gen: slot.gen, seq, line };
-                    queue.jobs.lock().expect("jobs").push_back(job);
-                    queue.ready.notify_one();
-                } else {
-                    let response = respond(&line, engine);
-                    if matches!(response, Response::ShuttingDown { .. }) {
-                        *shutting_down = Some((index, slot.gen));
-                    }
-                    slot.conn.complete(seq, &protocol::encode_response(&response));
+        let response = match frame {
+            Err(err) => Response::Error { id: 0, message: frame_error_message(&err) },
+            Ok(line) => match protocol::parse_request(&line) {
+                Err(e) => {
+                    Response::Error { id: protocol::best_effort_id(&line), message: e.to_string() }
                 }
-            }
+                Ok(request) => match respond(request, engine) {
+                    Answer::Now(response) => response,
+                    Answer::Solve { id, scenario, algorithm } => {
+                        let job = Job { slot: index, gen: slot.gen, seq, id, scenario, algorithm };
+                        queue.jobs.lock().expect("jobs").push_back(job);
+                        queue.ready.notify_one();
+                        continue;
+                    }
+                },
+            },
+        };
+        if matches!(response, Response::ShuttingDown { .. }) {
+            *shutting_down = Some((index, slot.gen));
         }
+        slot.conn.complete(seq, &protocol::encode_response(&response));
     }
 }
 
@@ -358,12 +382,18 @@ fn solver_loop(engine: &Engine, queue: &PoolQueue, done: &Mutex<Vec<Done>>, wake
                 jobs = queue.ready.wait(jobs).expect("jobs");
             }
         };
-        let line = protocol::encode_response(&respond(&job.line, engine));
-        done.lock().expect("done").push(Done { slot: job.slot, gen: job.gen, seq: job.seq, line });
+        let finished = solve_job(engine, job);
+        done.lock().expect("done").push(finished);
         // A full wake pipe is fine: the loop drains the queue on any byte.
         let mut tx = wake;
         let _ = tx.write(&[1]);
     }
+}
+
+/// Solves one queued miss and encodes its response.
+fn solve_job(engine: &Engine, job: Job) -> Done {
+    let response = solved(job.id, &engine.solve(&job.scenario, job.algorithm));
+    Done { slot: job.slot, gen: job.gen, seq: job.seq, line: protocol::encode_response(&response) }
 }
 
 fn drain_waker(wake_rx: &UnixStream) {
@@ -375,45 +405,157 @@ fn drain_waker(wake_rx: &UnixStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chain2l_core::{optimize, Algorithm};
-    use chain2l_model::platform::scr;
-    use chain2l_model::{Scenario, WeightPattern};
+    use crate::protocol::SolveSpec;
+    use chain2l_core::optimize;
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
 
-    #[test]
-    fn respond_never_panics_and_solves_correctly() {
-        let engine = Engine::new();
-        // Malformed lines get error responses with best-effort ids.
-        for bad in ["", "garbage", "{\"v\":9,\"id\":1,\"op\":\"ping\"}", "{\"v\":1,\"id\":2}"] {
-            match respond(bad, &engine) {
-                Response::Error { .. } => {}
-                other => panic!("`{bad}` should error, got {other:?}"),
-            }
+    /// A worker-side connection slot and the peer end of its loopback
+    /// socket.
+    fn loopback() -> (ConnSlot, BufReader<TcpStream>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (ConnSlot { conn: Conn::new(stream).unwrap(), gen: 1 }, BufReader::new(peer))
+    }
+
+    fn spec(platform: &str, tasks: usize) -> SolveSpec {
+        SolveSpec {
+            platform: platform.into(),
+            pattern: "decrease".into(),
+            tasks,
+            weight: 25_000.0,
+            algorithm: "admv*".into(),
         }
-        // A valid solve matches the direct optimizer bit for bit.
-        let line = protocol::encode_request(&Request::Solve {
-            id: 11,
-            spec: protocol::SolveSpec {
-                platform: "atlas".into(),
-                pattern: "decrease".into(),
-                tasks: 9,
-                weight: 25_000.0,
-                algorithm: "admv*".into(),
-            },
-        });
-        let scenario =
-            Scenario::paper_setup(&scr::atlas(), &WeightPattern::Decrease, 9, 25_000.0).unwrap();
-        let direct = optimize(&scenario, Algorithm::TwoLevel);
-        match respond(&line, &engine) {
-            Response::Solve { id, result } => {
-                assert_eq!(id, 11);
+    }
+
+    fn solve_frame(id: u64, spec: &SolveSpec) -> String {
+        protocol::encode_request(&Request::Solve { id, spec: spec.clone() })
+    }
+
+    /// Pushes `lines` into the slot's decoder and pumps them.
+    fn pump_lines(slot: &mut ConnSlot, engine: &Engine, queue: &PoolQueue, lines: &[String]) {
+        for line in lines {
+            slot.conn.decoder.push(line.as_bytes());
+            slot.conn.decoder.push(b"\n");
+        }
+        let mut shutting_down = None;
+        pump(slot, 0, engine, queue, &mut shutting_down);
+        assert_eq!(shutting_down, None);
+    }
+
+    /// Flushes every released response and reads `n` of them back.
+    fn released(slot: &mut ConnSlot, peer: &mut BufReader<TcpStream>, n: usize) -> Vec<Response> {
+        slot.conn.flush_out().unwrap();
+        (0..n)
+            .map(|_| {
+                let mut line = String::new();
+                peer.read_line(&mut line).unwrap();
+                protocol::parse_response(line.trim_end()).unwrap()
+            })
+            .collect()
+    }
+
+    fn assert_solves(response: &Response, id: u64, spec: &SolveSpec) {
+        let (scenario, algorithm) = protocol::resolve_spec(spec).unwrap();
+        let direct = optimize(&scenario, algorithm);
+        match response {
+            Response::Solve { id: got, result } => {
+                assert_eq!(*got, id);
                 assert_eq!(result.expected_makespan.to_bits(), direct.expected_makespan.to_bits());
                 assert_eq!(result.disk, direct.counts.disk_checkpoints as u64);
             }
-            other => panic!("unexpected {other:?}"),
+            other => panic!("expected a solve for id {id}, got {other:?}"),
         }
-        // An invalid scenario errors but keeps the engine usable.
-        let invalid = line.replace("\"tasks\":9", "\"tasks\":0");
-        assert!(matches!(respond(&invalid, &engine), Response::Error { id: 11, .. }));
-        assert!(matches!(respond(&line, &engine), Response::Solve { .. }));
+    }
+
+    #[test]
+    fn settled_hits_complete_on_the_event_loop() {
+        let engine = Engine::new();
+        let queue = PoolQueue::default();
+        let (mut slot, mut peer) = loopback();
+        let hit = spec("atlas", 9);
+        let (scenario, algorithm) = protocol::resolve_spec(&hit).unwrap();
+        engine.solve(&scenario, algorithm);
+        pump_lines(&mut slot, &engine, &queue, &[solve_frame(11, &hit)]);
+        assert!(queue.jobs.lock().unwrap().is_empty(), "a settled hit must not reach the pool");
+        assert_eq!(slot.conn.inflight(), 0);
+        assert_solves(&released(&mut slot, &mut peer, 1)[0], 11, &hit);
+        let stats = engine.stats();
+        assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn a_miss_enqueues_one_resolved_job_and_counts_nothing() {
+        let engine = Engine::new();
+        let queue = PoolQueue::default();
+        let (mut slot, _peer) = loopback();
+        let miss = spec("hera", 7);
+        let fresh = engine.stats();
+        pump_lines(&mut slot, &engine, &queue, &[solve_frame(5, &miss)]);
+        let jobs = queue.jobs.lock().unwrap();
+        assert_eq!(jobs.len(), 1);
+        let job = jobs.front().unwrap();
+        let (scenario, algorithm) = protocol::resolve_spec(&miss).unwrap();
+        assert_eq!((job.slot, job.gen, job.seq, job.id), (0, 1, 0, 5));
+        assert_eq!((&job.scenario, job.algorithm), (&scenario, algorithm));
+        assert_eq!(slot.conn.inflight(), 1);
+        assert_eq!(engine.stats(), fresh, "nothing may be counted or solved");
+    }
+
+    #[test]
+    fn a_hit_behind_a_pending_miss_waits_for_it() {
+        let engine = Engine::new();
+        let queue = PoolQueue::default();
+        let (mut slot, mut peer) = loopback();
+        let (miss, hit) = (spec("hera", 7), spec("atlas", 9));
+        let (scenario, algorithm) = protocol::resolve_spec(&hit).unwrap();
+        engine.solve(&scenario, algorithm);
+        pump_lines(&mut slot, &engine, &queue, &[solve_frame(1, &miss), solve_frame(2, &hit)]);
+        assert_eq!(slot.conn.inflight(), 2, "the hit is answered but held");
+        assert!(!slot.conn.wants_write(), "nothing may be released before the miss");
+        let job = queue.jobs.lock().unwrap().pop_front().expect("the miss");
+        let done = solve_job(&engine, job);
+        slot.conn.complete(done.seq, &done.line);
+        let responses = released(&mut slot, &mut peer, 2);
+        assert_solves(&responses[0], 1, &miss);
+        assert_solves(&responses[1], 2, &hit);
+        assert_eq!(slot.conn.inflight(), 0);
+    }
+
+    #[test]
+    fn control_frames_invalid_specs_and_malformed_lines_are_answered_inline() {
+        let engine = Engine::new();
+        let queue = PoolQueue::default();
+        let (mut slot, mut peer) = loopback();
+        let lines = [
+            protocol::encode_request(&Request::Ping { id: 7 }),
+            protocol::encode_request(&Request::Stats { id: 8 }),
+            protocol::encode_request(&Request::Health { id: 9 }),
+            solve_frame(3, &spec("titan", 9)),
+            solve_frame(4, &spec("atlas", 0)),
+            "garbage".to_string(),
+            "{\"v\":9,\"id\":1,\"op\":\"ping\"}".to_string(),
+            "{\"v\":2,\"id\":2}".to_string(),
+        ];
+        pump_lines(&mut slot, &engine, &queue, &lines);
+        assert!(queue.jobs.lock().unwrap().is_empty());
+        let responses = released(&mut slot, &mut peer, lines.len());
+        assert!(matches!(responses[0], Response::Pong { id: 7 }));
+        assert!(matches!(&responses[1], Response::Stats { id: 8, shards: 1, .. }));
+        let error_ids: Vec<u64> = responses[2..]
+            .iter()
+            .map(|response| match response {
+                Response::Error { id, .. } => *id,
+                other => panic!("expected ok:false, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(error_ids, [9, 3, 4, 0, 1, 2]);
+        let mut shutting_down = None;
+        slot.conn.decoder.push(b"{\"v\":2,\"id\":10,\"op\":\"shutdown\"}\n");
+        pump(&mut slot, 0, &engine, &queue, &mut shutting_down);
+        assert_eq!(shutting_down, Some((0, 1)));
+        assert!(matches!(released(&mut slot, &mut peer, 1)[0], Response::ShuttingDown { id: 10 }));
     }
 }

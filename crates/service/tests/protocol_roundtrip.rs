@@ -2,6 +2,7 @@
 //! and malformed or truncated input is always a clean error — parsing never
 //! panics, whatever the bytes.
 
+use chain2l_service::json::{parse_object, ObjectBuilder, Value};
 use chain2l_service::protocol::{
     best_effort_id, encode_request, encode_response, parse_request, parse_response, Request,
     Response, SolveResult, SolveSpec,
@@ -19,6 +20,25 @@ fn wire_string() -> impl Strategy<Value = String> {
         proptest::collection::vec(0u32..0xD7FF, 0..12)
             .prop_map(|codes| { codes.into_iter().filter_map(char::from_u32).collect::<String>() }),
     ]
+}
+
+/// Strings dense in what the JSON writer must escape or pass through:
+/// quotes, backslashes, control characters, non-ASCII characters and
+/// characters outside the Basic Multilingual Plane (UTF-16 surrogate pairs).
+fn escape_heavy_string() -> impl Strategy<Value = String> {
+    let any_char = |codes: std::ops::Range<u32>| {
+        codes.prop_map(|code| char::from_u32(code).unwrap_or('\u{FFFD}'))
+    };
+    let piece = prop_oneof![
+        Just('"'),
+        Just('\\'),
+        any_char(0..0x20),
+        any_char(0x20..0x7F),
+        any_char(0x80..0xD800),
+        any_char(0xE000..0x1_0000),
+        any_char(0x1_0000..0x11_0000),
+    ];
+    proptest::collection::vec(piece, 0..24).prop_map(|chars| chars.into_iter().collect())
 }
 
 fn solve_spec() -> impl Strategy<Value = SolveSpec> {
@@ -92,6 +112,22 @@ proptest! {
                 prop_assert_eq!(back, message);
             }
             other => prop_assert!(false, "round trip failed: {:?} for {}", other, line),
+        }
+    }
+
+    #[test]
+    fn escaped_strings_survive_the_writer_and_the_parser(
+        key in escape_heavy_string(),
+        value in escape_heavy_string(),
+    ) {
+        // Strings with nothing to escape come back borrowed from the line,
+        // the others decoded into owned copies: both paths must round-trip.
+        let line = ObjectBuilder::new().str(&key, &value).finish();
+        match parse_object(&line) {
+            Ok(object) => {
+                prop_assert_eq!(object.get(&key).and_then(Value::as_str), Some(value.as_str()));
+            }
+            Err(e) => prop_assert!(false, "`{}` did not parse: {}", line, e),
         }
     }
 
