@@ -1,18 +1,21 @@
 //! End-to-end daemon tests with real shard worker *processes*
 //! (`chain2l serve --internal-shard`): concurrent clients receive
-//! byte-identical, bit-exact answers at every shard count, a shard worker
-//! killed mid-stream is respawned with its inflight requests replayed (same
-//! byte stream as an undisturbed run), malformed input never takes the
-//! daemon down, and graceful shutdown reports per-shard statistics.
+//! byte-identical, bit-exact answers at every shard count, one solving
+//! context's growing chain is held and extended by one shard only, a shard
+//! worker killed mid-stream is respawned with its inflight requests
+//! replayed (same byte stream as an undisturbed run), malformed input never
+//! takes the daemon down, and graceful shutdown reports per-shard
+//! statistics.
 
 use chain2l_core::Engine;
-use chain2l_service::protocol::{self, Request, SolveResult, SolveSpec};
+use chain2l_service::protocol::{self, Request, Response, SolveResult, SolveSpec};
 use chain2l_service::{client, ServeConfig, ServeSummary, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::Command;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// A daemon whose shard workers are `chain2l serve --internal-shard`
 /// processes — the same worker the CLI daemon spawns.
@@ -167,6 +170,71 @@ fn concurrent_clients_get_bit_identical_answers_at_every_shard_count() {
     }
 }
 
+/// The number in front of `label` in a per-shard statistics line, e.g.
+/// `count_before(line, " extended")` for "…, 7 extended, …".
+fn count_before(line: &str, label: &str) -> u64 {
+    line.split(label)
+        .next()
+        .and_then(|head| head.rsplit([' ', '(']).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no count before {label:?} in {line}"))
+}
+
+#[test]
+fn one_context_is_extended_by_one_shard_only() {
+    // A weak-scaling series of one solving context: 400 s per task, so each
+    // chain's weights are a bitwise prefix of the next one's.
+    let series: Vec<SolveSpec> = (5..=12)
+        .map(|n| SolveSpec { weight: 400.0 * n as f64, ..spec("hera", "uniform", n, "admv*") })
+        .collect();
+    let offline: String = {
+        let engine = Engine::new();
+        series
+            .iter()
+            .enumerate()
+            .map(|(id, s)| {
+                let (scenario, algorithm) = protocol::resolve_spec(s).expect("valid spec");
+                let result = SolveResult::from_solution(&engine.solve(&scenario, algorithm));
+                format!(
+                    "{}\n",
+                    protocol::encode_response(&Response::Solve { id: id as u64, result })
+                )
+            })
+            .collect()
+    };
+    for shards in [2usize, 4] {
+        let (addr, handle) = start_server(shards);
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        // One request at a time, so each length extends the previous one's
+        // settled tables.
+        let mut replies = String::new();
+        for (id, s) in series.iter().enumerate() {
+            let request =
+                protocol::encode_request(&Request::Solve { id: id as u64, spec: s.clone() });
+            writer.write_all(format!("{request}\n").as_bytes()).expect("send");
+            let n = reader.read_line(&mut replies).expect("read reply");
+            assert!(n > 0, "{shards} shards: daemon closed the connection");
+        }
+        assert_eq!(replies, offline, "{shards} shards: replies differ from the offline run");
+
+        // Exactly one shard retains the context and made all 7 extensions.
+        let (_, detail) = client::stats(&addr.to_string()).expect("stats");
+        let mut per_shard: Vec<(u64, u64)> = detail
+            .lines()
+            .filter(|l| l.starts_with("shard "))
+            .map(|l| (count_before(l, " retained"), count_before(l, " extended")))
+            .collect();
+        per_shard.sort_unstable();
+        let mut expected = vec![(0, 0); shards - 1];
+        expected.push((1, 7));
+        assert_eq!(per_shard, expected, "{shards} shards: {detail}");
+        client::shutdown(&addr.to_string()).expect("shutdown");
+        handle.join().expect("server thread");
+    }
+}
+
 /// Pipelines `payload` over one raw connection, reads exactly `responses`
 /// NDJSON lines and returns the raw response byte stream.  `kill_after_first`
 /// SIGKILLs that pid right after the first response arrives, so the
@@ -197,6 +265,17 @@ fn raw_batch(
         }
     }
     bytes
+}
+
+/// Waits (bounded) until the daemon's `health` reports a respawn.  A
+/// worker killed after its last reply leaves nothing to replay, so only the
+/// parent's loop noticing the dead link records the respawn, and a shutdown
+/// sent right away could otherwise beat it.
+fn await_respawn(addr: &str) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while client::health(addr).expect("health").respawns == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 #[test]
@@ -230,6 +309,7 @@ fn killing_a_shard_mid_stream_leaves_the_byte_stream_identical() {
     let (addr, pids, handle) = start_server_with_pids(2);
     assert_eq!(pids.len(), 2);
     let disturbed = raw_batch(&addr.to_string(), &payload, specs.len(), Some(pids[0]));
+    await_respawn(&addr.to_string());
     client::shutdown(&addr.to_string()).expect("shutdown");
     let summary = handle.join().expect("server thread");
     assert!(summary.respawns >= 1, "the killed worker must have been respawned");
@@ -294,6 +374,7 @@ fn restarted_daemon_serves_warm_from_snapshots_with_identical_bytes() {
     // the file from run 2's shutdown) and replay keeps the bytes identical.
     let (addr, pids, handle) = start_persistent_server(2, &state_dir);
     let disturbed = raw_batch(&addr.to_string(), &payload, specs.len(), Some(pids[0]));
+    await_respawn(&addr.to_string());
     client::shutdown(&addr.to_string()).expect("shutdown");
     let summary = handle.join().expect("server thread");
     assert!(summary.respawns >= 1, "the killed worker must have been respawned");

@@ -16,6 +16,13 @@
 //! ([`CacheStats`]) make the sharing observable, which is how the harness
 //! proves that repeated cells are served from cache.
 //!
+//! Two process-stable digests come out of a fingerprint.  The cache files
+//! entries under the full one, which covers the weights (the crate-private
+//! `bucket_key`).  The service routes by [`ScenarioFingerprint::stable_hash`],
+//! which covers only the solving context — rates, costs and algorithm, the
+//! engine's `ContextKey` — so every length of one chain, and every weight
+//! pattern on one platform, lands on the shard that retains its DP tables.
+//!
 //! Because every optimizer in this crate is a deterministic pure function of
 //! the scenario and algorithm, cached and uncached solves are bit-identical —
 //! the cache can never change results, only skip recomputation.
@@ -28,108 +35,134 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Canonical fingerprint of one `(scenario, algorithm)` solve.
-///
-/// The fingerprint captures exactly the inputs the optimizers read: the
-/// platform error rates, every field of the resilience cost model, the task
-/// weight vector (as exact `f64` bit patterns) and the algorithm — which also
-/// fixes the tail-accounting cost model (`Algorithm::TwoLevelPartial` vs.
-/// `Algorithm::TwoLevelPartialRefined`).  Presentation-only fields — the
-/// platform `name` and `nodes`, and the raw platform checkpoint costs that
-/// [`chain2l_model::ResilienceCosts`] has already absorbed — are deliberately
-/// excluded, so a renamed but otherwise identical platform still hits.
+/// One solving context: everything the kernels read besides the weights —
+/// the platform error rates and the seven cost-model fields as exact `f64`
+/// bit patterns, and the algorithm.  The engine retains one DP table set
+/// per context, and the service routes by its digest
+/// ([`ScenarioFingerprint::stable_hash`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ScenarioFingerprint {
+pub(crate) struct ContextKey {
     pub(crate) lambda_fail_stop: u64,
     pub(crate) lambda_silent: u64,
     pub(crate) costs: [u64; 7],
-    pub(crate) weights: Vec<u64>,
     pub(crate) algorithm: Algorithm,
 }
 
-/// The seven cost-model fields in fingerprint order, as `f64` bit patterns.
-fn cost_bits(scenario: &Scenario) -> [u64; 7] {
-    let c = &scenario.costs;
-    [
-        c.disk_checkpoint.to_bits(),
-        c.memory_checkpoint.to_bits(),
-        c.disk_recovery.to_bits(),
-        c.memory_recovery.to_bits(),
-        c.guaranteed_verification.to_bits(),
-        c.partial_verification.to_bits(),
-        c.partial_recall.to_bits(),
-    ]
+impl ContextKey {
+    pub(crate) fn new(scenario: &Scenario, algorithm: Algorithm) -> Self {
+        let c = &scenario.costs;
+        Self {
+            lambda_fail_stop: scenario.platform.lambda_fail_stop.to_bits(),
+            lambda_silent: scenario.platform.lambda_silent.to_bits(),
+            costs: [
+                c.disk_checkpoint.to_bits(),
+                c.memory_checkpoint.to_bits(),
+                c.disk_recovery.to_bits(),
+                c.memory_recovery.to_bits(),
+                c.guaranteed_verification.to_bits(),
+                c.partial_verification.to_bits(),
+                c.partial_recall.to_bits(),
+            ],
+            algorithm,
+        }
+    }
+
+    /// FNV-1a over the rates, the costs, `weights` and the algorithm label,
+    /// in that order (little-endian bytes).  With a chain's weights this is
+    /// the fingerprint's bucket key; with none, the context's own stream.
+    fn fnv1a(&self, weights: impl Iterator<Item = u64>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        eat(&self.lambda_fail_stop.to_le_bytes());
+        eat(&self.lambda_silent.to_le_bytes());
+        for c in &self.costs {
+            eat(&c.to_le_bytes());
+        }
+        for w in weights {
+            eat(&w.to_le_bytes());
+        }
+        eat(self.algorithm.label().as_bytes());
+        hash
+    }
+
+    /// The routing digest: FNV-1a over the context fields, folded by
+    /// Murmur3's `fmix64` finalizer.  FNV-1a's low bits mix poorly (its
+    /// lowest bit is the parity of the input bytes' lowest bits), and the
+    /// service takes the digest `% shards`.
+    fn digest(&self) -> u64 {
+        let mut k = self.fnv1a(std::iter::empty());
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^ (k >> 33)
+    }
 }
 
-/// FNV-1a over the fingerprint byte stream (shared by [`ScenarioFingerprint::stable_hash`]
-/// and the allocation-free [`ScenarioFingerprint::stable_hash_of`] — both
-/// must digest exactly the same bytes).
-fn stable_digest(
-    lambda_fail_stop: u64,
-    lambda_silent: u64,
-    costs: &[u64; 7],
-    weights: impl Iterator<Item = u64>,
-    algorithm: Algorithm,
-) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(&lambda_fail_stop.to_le_bytes());
-    eat(&lambda_silent.to_le_bytes());
-    for c in costs {
-        eat(&c.to_le_bytes());
-    }
-    for w in weights {
-        eat(&w.to_le_bytes());
-    }
-    eat(algorithm.label().as_bytes());
-    hash
+/// Canonical fingerprint of one `(scenario, algorithm)` solve.
+///
+/// The fingerprint captures exactly the inputs the optimizers read: the
+/// solving context (platform error rates, every field of the resilience
+/// cost model and the algorithm — which also fixes the tail-accounting cost
+/// model, `Algorithm::TwoLevelPartial` vs. `Algorithm::TwoLevelPartialRefined`)
+/// and the task weight vector, all as exact `f64` bit patterns.
+/// Presentation-only fields — the platform `name` and `nodes`, and the raw
+/// platform checkpoint costs that [`chain2l_model::ResilienceCosts`] has
+/// already absorbed — are deliberately excluded, so a renamed but otherwise
+/// identical platform still hits.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ScenarioFingerprint {
+    pub(crate) context: ContextKey,
+    pub(crate) weights: Vec<u64>,
 }
 
 impl ScenarioFingerprint {
-    /// Deterministic, process-stable 64-bit digest of the fingerprint
-    /// (FNV-1a over every field).
+    /// Deterministic, process-stable 64-bit digest of the fingerprint's
+    /// solving context — rates, costs and algorithm, **not** the weights.
     ///
-    /// Unlike `Hash`/`RandomState`, the digest is identical across processes
-    /// and runs, which is what the service layer's shard routing requires:
-    /// the parent daemon and every worker must agree on
-    /// `stable_hash() % shard_count` without sharing hasher state.
+    /// This is the service's shard-routing digest: the parent daemon sends
+    /// a solve to shard `stable_hash() % shard_count`.  Unlike
+    /// `Hash`/`RandomState`, the digest is identical across processes and
+    /// runs, so the parent, every worker and any replay agree on it without
+    /// sharing hasher state.  Because it ignores the weights, every length
+    /// of one chain lands on the shard whose engine retains that context's
+    /// tables.  Changing it re-partitions every shard snapshot, so it is
+    /// covered by [`crate::snapshot::FORMAT_VERSION`].
     pub fn stable_hash(&self) -> u64 {
-        stable_digest(
-            self.lambda_fail_stop,
-            self.lambda_silent,
-            &self.costs,
-            self.weights.iter().copied(),
-            self.algorithm,
-        )
+        self.context.digest()
     }
 
     /// [`Self::stable_hash`] computed directly from the scenario, without
-    /// materialising a fingerprint — the allocation-free lookup key of the
-    /// cache's hit path (`stable_hash_of(s, a) == ScenarioFingerprint::new(s, a).stable_hash()`
-    /// by construction: both digest the same byte stream).
+    /// materialising a fingerprint (`stable_hash_of(s, a) ==
+    /// ScenarioFingerprint::new(s, a).stable_hash()` by construction: both
+    /// digest the same context key).
     pub fn stable_hash_of(scenario: &Scenario, algorithm: Algorithm) -> u64 {
-        stable_digest(
-            scenario.platform.lambda_fail_stop.to_bits(),
-            scenario.platform.lambda_silent.to_bits(),
-            &cost_bits(scenario),
-            scenario.chain.weights().iter().map(|w| w.to_bits()),
-            algorithm,
-        )
+        ContextKey::new(scenario, algorithm).digest()
+    }
+
+    /// The cache's bucket key: FNV-1a over every fingerprint field, weights
+    /// included.
+    pub(crate) fn bucket_key(&self) -> u64 {
+        self.context.fnv1a(self.weights.iter().copied())
+    }
+
+    /// [`Self::bucket_key`] streamed straight off the scenario — the
+    /// allocation-free lookup key of the cache's hit path.
+    pub(crate) fn bucket_key_of(scenario: &Scenario, algorithm: Algorithm) -> u64 {
+        ContextKey::new(scenario, algorithm)
+            .fnv1a(scenario.chain.weights().iter().map(|w| w.to_bits()))
     }
 
     /// Whether this fingerprint is exactly the one [`Self::new`] would
     /// compute for `(scenario, algorithm)` — field-by-field bitwise
     /// comparison, no allocation.
     pub fn matches(&self, scenario: &Scenario, algorithm: Algorithm) -> bool {
-        self.algorithm == algorithm
-            && self.lambda_fail_stop == scenario.platform.lambda_fail_stop.to_bits()
-            && self.lambda_silent == scenario.platform.lambda_silent.to_bits()
-            && self.costs == cost_bits(scenario)
+        self.context == ContextKey::new(scenario, algorithm)
             && self.weights.len() == scenario.chain.weights().len()
             && self
                 .weights
@@ -141,11 +174,8 @@ impl ScenarioFingerprint {
     /// Computes the fingerprint of `scenario` solved with `algorithm`.
     pub fn new(scenario: &Scenario, algorithm: Algorithm) -> Self {
         Self {
-            lambda_fail_stop: scenario.platform.lambda_fail_stop.to_bits(),
-            lambda_silent: scenario.platform.lambda_silent.to_bits(),
-            costs: cost_bits(scenario),
+            context: ContextKey::new(scenario, algorithm),
             weights: scenario.chain.weights().iter().map(|w| w.to_bits()).collect(),
-            algorithm,
         }
     }
 }
@@ -242,8 +272,9 @@ struct Slot {
     approx_bytes: usize,
 }
 
-/// The cache's bucketed store, keyed by the process-stable fingerprint
-/// digest so the hit path never materialises a fingerprint (collisions are
+/// The cache's bucketed store, keyed by the process-stable bucket key
+/// (`ScenarioFingerprint::bucket_key`, which covers the weights) so the
+/// hit path never materialises a fingerprint (collisions are
 /// resolved by exact comparison inside the bucket).  Recency lives in an
 /// intrusive [`LruList`]; `lru_hashes[slot.lru_id]` maps a list node back
 /// to its bucket, so evicting the tail is O(1) plus a scan of one
@@ -259,7 +290,7 @@ struct Store {
 }
 
 impl Store {
-    /// The slot cached for `(scenario, algorithm)` under digest `hash`, found
+    /// The slot cached for `(scenario, algorithm)` under bucket key `hash`, found
     /// by allocation-free comparison inside the bucket.
     fn find(&self, hash: u64, scenario: &Scenario, algorithm: Algorithm) -> Option<&Slot> {
         self.buckets.get(&hash)?.iter().find(|slot| slot.fingerprint.matches(scenario, algorithm))
@@ -385,8 +416,8 @@ impl SolutionCache {
     /// strategy router in here.
     ///
     /// The hit path performs **zero heap allocations**: the lookup key is
-    /// the process-stable digest streamed straight off the scenario
-    /// ([`ScenarioFingerprint::stable_hash_of`]), bucket collisions are
+    /// the process-stable bucket key streamed straight off the scenario
+    /// (`ScenarioFingerprint::bucket_key_of`), bucket collisions are
     /// resolved by the allocation-free [`ScenarioFingerprint::matches`], and
     /// the cached `Arc` is cloned — which is what makes a warm
     /// [`crate::Engine::solve`] allocation-free end to end (proved by the
@@ -397,7 +428,7 @@ impl SolutionCache {
         algorithm: Algorithm,
         solve: impl FnOnce() -> Solution,
     ) -> Arc<Solution> {
-        let hash = ScenarioFingerprint::stable_hash_of(scenario, algorithm);
+        let hash = ScenarioFingerprint::bucket_key_of(scenario, algorithm);
         let entry = {
             let mut store = self.store.lock().expect("cache store poisoned");
             let hit =
@@ -445,7 +476,7 @@ impl SolutionCache {
     /// counts the miss or the hit it would have counted anyway.  Only the
     /// store mutex is taken, and no caller holds it across a solve.
     pub fn cached(&self, scenario: &Scenario, algorithm: Algorithm) -> Option<Arc<Solution>> {
-        let hash = ScenarioFingerprint::stable_hash_of(scenario, algorithm);
+        let hash = ScenarioFingerprint::bucket_key_of(scenario, algorithm);
         let mut store = self.store.lock().expect("cache store poisoned");
         let (lru_id, solution) = store
             .find(hash, scenario, algorithm)
@@ -512,7 +543,7 @@ impl SolutionCache {
         fingerprint: ScenarioFingerprint,
         solution: Arc<Solution>,
     ) -> bool {
-        let hash = fingerprint.stable_hash();
+        let hash = fingerprint.bucket_key();
         let approx_bytes = approx_entry_bytes(fingerprint.weights.len());
         let mut store = self.store.lock().expect("cache store poisoned");
         if store
@@ -671,6 +702,37 @@ mod tests {
     }
 
     #[test]
+    fn streaming_bucket_key_agrees_with_materialised_fingerprints() {
+        // Lookups hash the scenario while restores hash the stored
+        // fingerprint: if the two keys drifted apart, every restored entry
+        // would silently miss.
+        let scenarios = [hera_uniform(5), hera_uniform(9)];
+        let algorithms = [Algorithm::TwoLevel, Algorithm::TwoLevelPartial];
+        let cache = SolutionCache::new();
+        for s in &scenarios {
+            for a in algorithms {
+                let fingerprint = ScenarioFingerprint::new(s, a);
+                assert_eq!(
+                    fingerprint.bucket_key(),
+                    ScenarioFingerprint::bucket_key_of(s, a),
+                    "streamed bucket key must equal the materialised one"
+                );
+                assert!(cache.restore_entry(fingerprint, Arc::new(optimize(s, a))));
+            }
+        }
+        for s in &scenarios {
+            for a in algorithms {
+                assert!(
+                    cache.cached(s, a).is_some(),
+                    "restored n={} {a:?} must hit",
+                    s.task_count()
+                );
+            }
+        }
+        assert_eq!((cache.stats().hits, cache.stats().misses), (4, 0));
+    }
+
+    #[test]
     fn entry_cap_evicts_least_recently_used_entries() {
         let cache =
             SolutionCache::with_limits(CacheLimits { max_entries: Some(2), max_bytes: None });
@@ -717,17 +779,68 @@ mod tests {
     #[test]
     fn stable_hash_is_deterministic_and_input_sensitive() {
         let base = ScenarioFingerprint::new(&hera_uniform(10), Algorithm::TwoLevel);
-        assert_eq!(
-            base.stable_hash(),
-            ScenarioFingerprint::new(&hera_uniform(10), Algorithm::TwoLevel).stable_hash()
-        );
-        for other in [
-            ScenarioFingerprint::new(&hera_uniform(11), Algorithm::TwoLevel),
-            ScenarioFingerprint::new(&hera_uniform(10), Algorithm::SingleLevel),
-        ] {
-            assert_ne!(base.stable_hash(), other.stable_hash());
+        let again = ScenarioFingerprint::new(&hera_uniform(10), Algorithm::TwoLevel);
+        assert_eq!(base.stable_hash(), again.stable_hash());
+        assert_eq!(base.bucket_key(), again.bucket_key());
+        let other_algorithm = ScenarioFingerprint::new(&hera_uniform(10), Algorithm::SingleLevel);
+        assert_ne!(base.stable_hash(), other_algorithm.stable_hash());
+        // The weights reach the bucket key, not the routing digest.
+        for other in
+            [ScenarioFingerprint::new(&hera_uniform(11), Algorithm::TwoLevel), other_algorithm]
+        {
+            assert_ne!(base.bucket_key(), other.bucket_key());
         }
     }
+
+    #[test]
+    fn stable_hash_follows_the_context_not_the_weights() {
+        let platforms = scr::all();
+        let digest = |platform: &chain2l_model::Platform, pattern, n, algorithm| {
+            let s = Scenario::paper_setup(platform, pattern, n, 400.0 * n as f64).unwrap();
+            ScenarioFingerprint::stable_hash_of(&s, algorithm)
+        };
+        let patterns = [WeightPattern::Uniform, WeightPattern::Decrease, WeightPattern::Increase];
+        let mut contexts = Vec::new();
+        for platform in &platforms {
+            for algorithm in [
+                Algorithm::SingleLevel,
+                Algorithm::TwoLevel,
+                Algorithm::TwoLevelPartial,
+                Algorithm::TwoLevelPartialRefined,
+            ] {
+                let first = digest(platform, &WeightPattern::Uniform, 5, algorithm);
+                for pattern in &patterns {
+                    for n in 5..=12 {
+                        assert_eq!(
+                            digest(platform, pattern, n, algorithm),
+                            first,
+                            "{} {pattern:?} n={n} {algorithm:?}: one context, one digest",
+                            platform.name
+                        );
+                    }
+                }
+                contexts.push(first);
+            }
+        }
+        // Every (platform, algorithm) pair is its own context.
+        let mut distinct = contexts.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), contexts.len(), "{contexts:x?}");
+    }
+
+    #[test]
+    fn stable_hash_golden_value() {
+        let digest = ScenarioFingerprint::stable_hash_of(&hera_uniform(10), Algorithm::TwoLevel);
+        assert_eq!(
+            digest, GOLDEN_HERA_ADMV_STAR,
+            "the routing digest changed ({digest:#018x}): that re-partitions every shard \
+             snapshot, so bump snapshot::FORMAT_VERSION and then update this value"
+        );
+    }
+
+    /// `stable_hash` of Hera's `A_DMV*` context (any chain).
+    const GOLDEN_HERA_ADMV_STAR: u64 = 0xc535_9c4b_4f01_e942;
 
     #[test]
     fn stats_display_is_readable() {

@@ -40,7 +40,7 @@
 //! long extension.  See DESIGN.md §6.
 
 use crate::arena::{ArenaStats, TableArena};
-use crate::cache::{CacheLimits, CacheStats, SolutionCache, SolveRequest};
+use crate::cache::{CacheLimits, CacheStats, ContextKey, SolutionCache, SolveRequest};
 use crate::dp::DpTables;
 use crate::lru::LruList;
 use crate::segment::{PartialCostModel, SegmentCalculator};
@@ -237,35 +237,6 @@ fn assemble(
 ) -> Solution {
     let schedule = kernel.reconstruct(calc, state, n);
     Solution::new(state.expected_makespan(n), schedule, scenario, state.statistics())
-}
-
-/// One solving context: everything the kernels read besides the weights.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct ContextKey {
-    pub(crate) lambda_fail_stop: u64,
-    pub(crate) lambda_silent: u64,
-    pub(crate) costs: [u64; 7],
-    pub(crate) algorithm: Algorithm,
-}
-
-impl ContextKey {
-    fn new(scenario: &Scenario, algorithm: Algorithm) -> Self {
-        let c = &scenario.costs;
-        Self {
-            lambda_fail_stop: scenario.platform.lambda_fail_stop.to_bits(),
-            lambda_silent: scenario.platform.lambda_silent.to_bits(),
-            costs: [
-                c.disk_checkpoint.to_bits(),
-                c.memory_checkpoint.to_bits(),
-                c.disk_recovery.to_bits(),
-                c.memory_recovery.to_bits(),
-                c.guaranteed_verification.to_bits(),
-                c.partial_verification.to_bits(),
-                c.partial_recall.to_bits(),
-            ],
-            algorithm,
-        }
-    }
 }
 
 /// True when `prefix` is a bitwise prefix of `weights` (`f64` bit patterns,

@@ -17,10 +17,11 @@
 //! ```
 //!
 //! The header payload pins the shard identity (`index`/`count` of the
-//! stable-hash partition) and the [`EngineLimits`] the snapshot was taken
-//! under; the cache payload is the LRU-ordered `(fingerprint, solution)`
-//! list; the contexts payload is the LRU-ordered retained-table list (dense
-//! `f64` value / `u32` argmin planes, copied verbatim).
+//! stable-hash partition, which routes by solving context) and the
+//! [`EngineLimits`] the snapshot was taken under; the cache payload is the
+//! LRU-ordered `(fingerprint, solution)` list; the contexts payload is the
+//! LRU-ordered retained-table list (dense `f64` value / `u32` argmin planes,
+//! copied verbatim).
 //!
 //! **Crash consistency** ([`write_atomic`]): the encoding is written to a
 //! sibling `.tmp` file, fsynced, atomically renamed over the target, and the
@@ -40,9 +41,9 @@
 //! the persistence layer measures write durations and records them through
 //! [`Engine::note_snapshot_written`].
 
-use crate::cache::ScenarioFingerprint;
+use crate::cache::{ContextKey, ScenarioFingerprint};
 use crate::dp::{DiskSlice, DpTables};
-use crate::engine::{ContextExport, ContextKey, Engine};
+use crate::engine::{ContextExport, Engine};
 use crate::simd_scan::ScanCounters;
 use crate::solution::{DpStatistics, Solution};
 use crate::tables::SliceTable2;
@@ -56,16 +57,23 @@ use std::sync::Arc;
 /// File magic of every chain2l snapshot.
 pub const MAGIC: [u8; 8] = *b"C2LSNAPS";
 /// Current snapshot format version; any other version is rejected on load.
-/// Version 2 added the blocked-scan tallies ([`crate::simd_scan`]) to the
-/// solution statistics and the context tables; version-1 snapshots are
-/// rejected and the daemon cold-starts, which is always sound.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// The version also covers the shard-routing digest
+/// ([`ScenarioFingerprint::stable_hash`]), because a shard's snapshot holds
+/// exactly the keys that digest sent it.  Version 3 is version 2's byte
+/// layout under routing by solving context instead of by whole fingerprint;
+/// a version-2 file was partitioned by the old digest, so it is rejected
+/// and that shard cold-starts, which is always sound.  Version 2 added the
+/// blocked-scan tallies ([`crate::simd_scan`]) to the solution statistics
+/// and the context tables.
+pub const FORMAT_VERSION: u32 = 3;
 
 const SECTION_HEADER: u32 = 1;
 const SECTION_CACHE: u32 = 2;
 const SECTION_CONTEXTS: u32 = 3;
 
-/// Which slice of the stable-hash partition a snapshot belongs to.
+/// Which slice of the stable-hash partition
+/// ([`ScenarioFingerprint::stable_hash`]` % count`) a snapshot belongs to.
 ///
 /// Snapshots are rejected unless both fields match the loading shard: a
 /// shard must never warm-start from another shard's partition (or from a
@@ -415,16 +423,22 @@ fn encode_solution(out: &mut Vec<u8>, solution: &Solution) {
     push_u64(out, solution.stats.scalar_fallbacks);
 }
 
+/// The context fields shared by both sections' records: rates, costs,
+/// algorithm code.
+fn encode_context_key(out: &mut Vec<u8>, key: &ContextKey) {
+    push_u64(out, key.lambda_fail_stop);
+    push_u64(out, key.lambda_silent);
+    for &c in &key.costs {
+        push_u64(out, c);
+    }
+    out.push(algorithm_code(key.algorithm));
+}
+
 fn encode_cache(entries: &[(ScenarioFingerprint, Arc<Solution>)]) -> Vec<u8> {
     let mut out = Vec::new();
     push_u64(&mut out, entries.len() as u64);
     for (fingerprint, solution) in entries {
-        push_u64(&mut out, fingerprint.lambda_fail_stop);
-        push_u64(&mut out, fingerprint.lambda_silent);
-        for &c in &fingerprint.costs {
-            push_u64(&mut out, c);
-        }
-        out.push(algorithm_code(fingerprint.algorithm));
+        encode_context_key(&mut out, &fingerprint.context);
         push_u64(&mut out, fingerprint.weights.len() as u64);
         for &w in &fingerprint.weights {
             push_u64(&mut out, w);
@@ -438,12 +452,7 @@ fn encode_contexts(contexts: &[ContextExport]) -> Vec<u8> {
     let mut out = Vec::new();
     push_u64(&mut out, contexts.len() as u64);
     for export in contexts {
-        push_u64(&mut out, export.key.lambda_fail_stop);
-        push_u64(&mut out, export.key.lambda_silent);
-        for &c in &export.key.costs {
-            push_u64(&mut out, c);
-        }
-        out.push(algorithm_code(export.key.algorithm));
+        encode_context_key(&mut out, &export.key);
         push_u64(&mut out, export.weights.len() as u64);
         for &w in &export.weights {
             push_u64(&mut out, w.to_bits());
@@ -588,7 +597,7 @@ fn check_header(
     Ok(())
 }
 
-fn decode_fingerprint_parts(r: &mut Reader<'_>) -> Result<(u64, u64, [u64; 7], Algorithm), Reject> {
+fn decode_context_key(r: &mut Reader<'_>) -> Result<ContextKey, Reject> {
     let lambda_fail_stop = r.u64()?;
     let lambda_silent = r.u64()?;
     let mut costs = [0u64; 7];
@@ -598,7 +607,7 @@ fn decode_fingerprint_parts(r: &mut Reader<'_>) -> Result<(u64, u64, [u64; 7], A
     let code = r.u8()?;
     let algorithm =
         algorithm_from(code).ok_or_else(|| malformed(format!("bad algorithm code {code}")))?;
-    Ok((lambda_fail_stop, lambda_silent, costs, algorithm))
+    Ok(ContextKey { lambda_fail_stop, lambda_silent, costs, algorithm })
 }
 
 fn decode_solution(r: &mut Reader<'_>) -> Result<Solution, Reject> {
@@ -639,11 +648,10 @@ fn decode_cache(payload: &[u8]) -> Result<Vec<(ScenarioFingerprint, Solution)>, 
     let count = r.u64()?;
     let mut out = Vec::new();
     for _ in 0..count {
-        let (lambda_fail_stop, lambda_silent, costs, algorithm) = decode_fingerprint_parts(&mut r)?;
+        let context = decode_context_key(&mut r)?;
         let n = r.len()?;
         let weights = r.u64_vec(n)?;
-        let fingerprint =
-            ScenarioFingerprint { lambda_fail_stop, lambda_silent, costs, weights, algorithm };
+        let fingerprint = ScenarioFingerprint { context, weights };
         let solution = decode_solution(&mut r)?;
         out.push((fingerprint, solution));
     }
@@ -658,8 +666,7 @@ fn decode_contexts(payload: &[u8], arena: &TableArena) -> Result<Vec<ContextExpo
     let count = r.u64()?;
     let mut out = Vec::new();
     for _ in 0..count {
-        let (lambda_fail_stop, lambda_silent, costs, algorithm) = decode_fingerprint_parts(&mut r)?;
-        let key = ContextKey { lambda_fail_stop, lambda_silent, costs, algorithm };
+        let key = decode_context_key(&mut r)?;
         let n = r.len()?;
         if n == 0 {
             return Err(malformed("context with an empty weight vector"));
@@ -980,14 +987,24 @@ mod tests {
     fn version_bump_and_bad_magic_reject() {
         let engine = Engine::new();
         engine.solve(&paper(5), Algorithm::SingleLevel);
-        let mut bytes = encode(&engine, ShardIdentity::standalone());
-        bytes[8] = 99; // version byte
         let fresh = Engine::new();
-        let err =
-            decode(&bytes, fresh.limits(), ShardIdentity::standalone(), fresh.snapshot_arena())
-                .err()
-                .unwrap();
-        assert_eq!(err.reason, SnapshotRejectReason::Version, "{}", err.detail);
+        // A future version, and version 2: the same byte layout, but
+        // partitioned by the old whole-fingerprint routing digest.
+        for version in [99u32, 2] {
+            let mut bytes = encode(&engine, ShardIdentity::standalone());
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let path = temp_path(&format!("version-{version}"));
+            write_atomic(&path, &bytes).unwrap();
+            let report = load(&fresh, &path, ShardIdentity::standalone());
+            assert_eq!(
+                report.outcome,
+                SnapshotLoadOutcome::Rejected(SnapshotRejectReason::Version),
+                "v{version}: {}",
+                report.detail
+            );
+            assert!(fresh.is_cold(), "a rejected v{version} file must leave the engine cold");
+            let _ = fs::remove_file(&path);
+        }
 
         let mut bytes = encode(&engine, ShardIdentity::standalone());
         bytes[0] = b'X';

@@ -3,8 +3,9 @@
 //! The long-lived service layer on top of the [`chain2l_core::Engine`]: a
 //! persistent `chain2l serve` daemon speaking a versioned NDJSON protocol
 //! over plain TCP (`std::net` only — no framework dependencies), sharding
-//! solve requests across worker **processes** by canonical scenario
-//! fingerprint, plus the matching client used by `chain2l batch --remote`.
+//! solve requests across worker **processes** by solving context (rates,
+//! costs, algorithm), plus the matching client used by
+//! `chain2l batch --remote`.
 //!
 //! * [`protocol`] — the versioned NDJSON frames (requests, responses, the
 //!   shard hello line) and the spec → scenario resolution both sides share;
@@ -22,7 +23,7 @@
 //!   snapshots (`--state-dir`), loaded at boot, written periodically and on
 //!   every exit path, so a restarted daemon serves warm;
 //! * [`server`] — the parent daemon: one readiness loop for the public
-//!   listener and all shard links, fingerprint routing with internal-id
+//!   listener and all shard links, context routing with internal-id
 //!   re-keying (worker replies are relayed by splicing the client id into
 //!   their bytes, not re-encoded), worker supervision (respawn + inflight
 //!   replay), graceful shutdown with per-shard statistics;
@@ -41,10 +42,11 @@
 //! `CHAIN2L_FAILPOINTS`) so every fault class is reproducible in tests.
 //!
 //! Determinism contract: every solve is a deterministic pure function of the
-//! scenario and algorithm, each fingerprint is owned by exactly one shard,
-//! responses are matched by id and every connection's responses are
-//! released in request order — so `chain2l batch --remote` output is
-//! **byte-identical** to the offline `chain2l batch` for any shard count,
+//! scenario and algorithm, each context (and so each fingerprint) is owned
+//! by exactly one shard, responses are matched by id and every
+//! connection's responses are released in request order — so
+//! `chain2l batch --remote` output is **byte-identical** to the offline
+//! `chain2l batch` for any shard count,
 //! any client concurrency, any `RAYON_NUM_THREADS`, and even across a shard
 //! worker being killed and respawned mid-stream (enforced by the daemon
 //! integration tests in `crates/cli/tests`, which run real

@@ -79,9 +79,10 @@ pub struct LoadReport {
     pub max_ms: f64,
 }
 
-/// The cycled request mix: small scenarios across platforms/patterns so the
-/// daemon's fingerprint routing spreads load over every shard, each solved
-/// cold exactly once per owning shard and served from cache afterwards.
+/// The cycled request mix: small scenarios across platforms/patterns, each
+/// solved cold once by the shard that owns its solving context and served
+/// from cache afterwards.  The two Hera specs share a context, so the mix
+/// spans three contexts.
 fn spec_mix() -> Vec<SolveSpec> {
     let spec = |platform: &str, pattern: &str, tasks: usize| SolveSpec {
         platform: platform.to_string(),

@@ -3,7 +3,7 @@
 //! [`chain2l_core::snapshot`].
 //!
 //! Each shard worker owns one snapshot file inside the daemon's
-//! `--state-dir`, keyed by its slice of the fingerprint partition
+//! `--state-dir`, keyed by its slice of the context partition
 //! (`shard-<index>-of-<count>.snap`), so restarting with a different
 //! `--shards` count cold-starts cleanly instead of loading another
 //! partition's state.  All writes go through the core's crash-consistent
@@ -30,7 +30,7 @@ pub struct PersistConfig {
     pub state_dir: PathBuf,
     /// Seconds between periodic background snapshots (≥ 1).
     pub snapshot_every_secs: u64,
-    /// This worker's slice of the fingerprint partition.
+    /// This worker's slice of the context partition.
     pub identity: ShardIdentity,
 }
 

@@ -477,7 +477,7 @@ pub fn parse_response(line: &str) -> Result<Response, ProtocolError> {
 /// Resolves a [`SolveSpec`] into the scenario and algorithm it names.
 ///
 /// This is the single validation path shared by the daemon parent (which
-/// needs the scenario to compute the shard fingerprint) and every shard
+/// needs the scenario to compute the routing digest) and every shard
 /// worker — both sides resolving the same spec is what guarantees they agree
 /// on the scenario being solved.
 pub fn resolve_spec(spec: &SolveSpec) -> Result<(Scenario, Algorithm), String> {

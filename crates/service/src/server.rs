@@ -6,10 +6,14 @@
 //! shard worker child processes (spawned from a configurable command — the
 //! CLI re-executes itself with `serve --internal-shard`).  Each worker owns
 //! one [`chain2l_core::Engine`], i.e. one disjoint cache-and-tables slice of
-//! the fingerprint space: the parent resolves every solve request, computes
-//! [`ScenarioFingerprint::stable_hash`]` % N` and forwards the frame to the
-//! owning shard, so the same scenario always lands on the same process and
-//! no solve is ever duplicated across shards.
+//! the solving contexts: the parent resolves every solve request, computes
+//! [`ScenarioFingerprint::stable_hash_of`]` % N` — a digest of the rates,
+//! costs and algorithm, not the weights — and forwards the frame to the
+//! owning shard.  A fingerprint determines its context, so the same
+//! scenario always lands on the same process and no solve is ever
+//! duplicated across shards; and every length of a growing chain lands on
+//! the one shard that retains and extends its tables.  Shard links are
+//! loopback TCP connections to the workers' announced ports.
 //!
 //! Concurrency: everything in the parent runs on one [`mio_lite::Poll`]
 //! loop.  Requests are decoded as their bytes arrive (partial frames
@@ -664,8 +668,8 @@ impl<'a> EventLoop<'a> {
                 self.complete_client(slot, gen, seq, &protocol::encode_response(&response));
             }
             Ok((scenario, algorithm)) => {
-                let fingerprint = ScenarioFingerprint::new(&scenario, algorithm);
-                let shard = (fingerprint.stable_hash() % self.shards.len() as u64) as usize;
+                let shard = (ScenarioFingerprint::stable_hash_of(&scenario, algorithm)
+                    % self.shards.len() as u64) as usize;
                 if self.shards[shard].dead || self.shards[shard].link.is_none() {
                     let response = Response::Error {
                         id,

@@ -13,9 +13,11 @@
 //! same hit a solve would.  Only a cache miss becomes a `Job` (carrying
 //! the already-resolved scenario) for a small solver-thread pool sharing the
 //! process's engine, whose cache and retained DP tables are this shard's
-//! disjoint slice of the fingerprint space: the parent only routes a
-//! fingerprint here when `stable_hash() % shards` says so.  Finished solves
-//! re-enter the loop through a `UnixStream::pair` waker.
+//! disjoint slice of the solving contexts: the parent only routes a solve
+//! here when `stable_hash() % shards` of its context (rates, costs,
+//! algorithm) says so, so every length of one chain meets the tables it
+//! extends.  Finished solves re-enter the loop through a `UnixStream::pair`
+//! waker.
 //!
 //! Answers complete **out of order** — a hit completes at once, a miss when
 //! its solve finishes — but each connection releases its responses in
