@@ -12,18 +12,22 @@
 //! requested fill — recycled buffers can never leak stale values, which the
 //! NaN-poisoning tests below prove).
 //!
-//! The free lists are **size-bucketed** LIFOs (one set for `f64`
-//! value/scratch buffers, one for `u32` argmin planes) behind mutexes, with
-//! relaxed counters for observability ([`ArenaStats`]).  Bucket `k` holds
-//! buffers whose capacity rounds up to `2^k`; a checkout for `len` tries
-//! its own capacity class first, then the next one up (whose buffers are
-//! always large enough), so a mixed workload never hands a tiny recycled
-//! buffer to a huge table (forcing an immediate regrow) or parks a huge
-//! buffer under a tiny request.  A checkout that finds both buckets empty
-//! falls back to a fresh allocation — so after a short warmup on a steady
-//! workload (same platforms, same chain sizes) the per-solve allocation
-//! count drops to zero, which `dp_report --wall` and the counting-allocator
-//! test in `tests/alloc_free.rs` make observable; per-bucket hit counters
+//! The free lists are **size-bucketed** (one set for `f64` value/scratch
+//! buffers, one for `u32` argmin planes) behind mutexes, with relaxed
+//! counters for observability ([`ArenaStats`]).  Bucket `k` holds buffers
+//! whose capacity rounds up to `2^k`; a checkout for `len` takes the
+//! smallest buffer of its own capacity class whose capacity is at least
+//! `len`, else the smallest of the next class up (whose buffers are always
+//! large enough), the newest on a tie.  A checkout therefore never
+//! reallocates the buffer it is handed — it is *fitted* — so pooled
+//! capacities stay where they are instead of creeping up a class per
+//! reuse, and a mixed workload never hands a tiny recycled buffer to a huge
+//! table or parks a huge buffer under a tiny request.  A checkout that
+//! finds no fitting buffer falls back to a fresh allocation.  After a warmup the pool serves most
+//! checkouts, but a solve still allocates whenever no parked buffer fits
+//! one of its tables — retained contexts keep theirs, and a mixed stream's
+//! live set shifts between classes — so the per-solve allocation count
+//! falls but does not reach zero.  Per-bucket hit counters
 //! ([`ArenaStats::bucket_hits`]) show *which* size classes the reuse comes
 //! from.
 //!
@@ -144,15 +148,16 @@ impl Default for TableArena {
     }
 }
 
-/// One element type's size-bucketed LIFO free lists, bounded by an
-/// approximate byte budget.
+/// One element type's size-bucketed free lists, bounded by an approximate
+/// byte budget.
 ///
-/// Each parked buffer carries a monotonic stamp from its return; when a
-/// return pushes the pool past its budget, the buffer idle longest (the
-/// smallest stamp — list fronts, since pops take from the back) is dropped
-/// first, repeating until the pool fits.  LIFO checkout + oldest-first
-/// trim keeps the recently-hot capacity classes and lets a one-off burst
-/// of huge tables age out instead of pinning memory forever.
+/// Each list is kept in return order.  Each parked buffer carries a
+/// monotonic stamp from its return; when a return pushes the pool past its
+/// budget, the buffer idle longest (the smallest stamp — a list front) is
+/// dropped first, repeating until the pool fits.  Newest-first tie-breaks
+/// on checkout + oldest-first trim keep the recently-hot capacity classes
+/// and let a one-off burst of huge tables age out instead of pinning
+/// memory forever.
 #[derive(Debug)]
 struct BucketedPool<T> {
     buckets: [Vec<(u64, Vec<T>)>; ARENA_BUCKETS],
@@ -169,18 +174,36 @@ impl<T> Default for BucketedPool<T> {
 }
 
 impl<T> BucketedPool<T> {
-    /// Pops a recycled buffer for a `len`-element request: the request's
-    /// own capacity class first, then the class above (always big enough).
-    /// Returns the buffer together with the bucket it came from.
+    /// Pops a recycled buffer for a `len`-element request: the smallest
+    /// buffer of the request's own capacity class that holds `len`
+    /// elements, else the smallest of the class above (always big enough);
+    /// the newest wins a tie.  Returns the buffer together with the bucket
+    /// it came from.
+    ///
+    /// Class `k` spans capacities `(2^(k−1), 2^k]`, so its buffers can be
+    /// shorter than a request of the same class.  Handing one out would make
+    /// the checkout's `resize` reallocate it and park it a class higher on
+    /// return: on a mixed-size stream buffers would creep upward until no
+    /// request could use them, and the pool would fill toward its byte cap.
+    /// Taking the best fit rather than any fit leaves the larger buffers of
+    /// a class for the larger requests of the same round.
     fn pop_for(&mut self, len: usize) -> Option<(Vec<T>, usize)> {
         let class = bucket_of(len);
         for k in [class, class + 1] {
-            if k < ARENA_BUCKETS {
-                if let Some((_, buf)) = self.buckets[k].pop() {
-                    self.bytes =
-                        self.bytes.saturating_sub(buf.capacity() * std::mem::size_of::<T>());
-                    return Some((buf, k));
-                }
+            let Some(bucket) = self.buckets.get_mut(k) else { continue };
+            let best_fit = bucket
+                .iter()
+                .enumerate()
+                .rev()
+                .filter(|(_, (_, buf))| buf.capacity() >= len)
+                .min_by_key(|(_, (_, buf))| buf.capacity())
+                .map(|(pos, _)| pos);
+            if let Some(pos) = best_fit {
+                // `remove` keeps the list in return order, oldest first,
+                // which the trim in `push` relies on.
+                let (_, buf) = bucket.remove(pos);
+                self.bytes = self.bytes.saturating_sub(buf.capacity() * std::mem::size_of::<T>());
+                return Some((buf, k));
             }
         }
         None
@@ -380,6 +403,58 @@ mod tests {
         assert_eq!((stats.bucket_hits[3], stats.bucket_hits[12]), (1, 1));
         // The class-3 buffer is still pooled; a class-2..3 request finds it.
         assert_eq!(arena.pooled(), 1);
+    }
+
+    #[test]
+    fn mixed_sizes_reach_a_fixed_point_after_one_round() {
+        // Lengths inside one capacity class (65..=128 is class 7) and across
+        // classes, all checked out together and returned together, as
+        // concurrent slice fills do.  Were a class's shorter buffer handed to
+        // a longer request of the same class, `resize` would reallocate it
+        // and it would come back a class higher, so the pool would grow
+        // every round.  Fitted checkouts make round 1's allocations serve
+        // every later round exactly.
+        let lens = [100usize, 70, 128, 65, 90, 300, 129, 257, 12, 9];
+        let arena = TableArena::new();
+        let mut parked = None;
+        for round in 0..6 {
+            let bufs: Vec<Vec<f64>> = lens.iter().map(|&len| arena.take_f64(len, 0.5)).collect();
+            let mut checked_out = 0u64;
+            for (buf, &len) in bufs.iter().zip(&lens) {
+                assert_eq!(buf.len(), len);
+                assert!(buf.capacity() >= len);
+                checked_out += (buf.capacity() * std::mem::size_of::<f64>()) as u64;
+            }
+            for buf in bufs {
+                arena.give_f64(buf);
+            }
+            let pooled = arena.stats().pooled_bytes;
+            assert_eq!(pooled, checked_out, "round {round}: every buffer comes back as it left");
+            match parked {
+                None => parked = Some(pooled),
+                Some(first) => assert_eq!(pooled, first, "round {round}: the pool grew"),
+            }
+        }
+        let stats = arena.stats();
+        assert_eq!(stats.pool_hits, 5 * lens.len() as u64, "every later checkout is a hit");
+        assert_eq!(arena.pooled(), lens.len());
+    }
+
+    #[test]
+    fn checkout_never_hands_out_a_shorter_buffer() {
+        // A class-7 request of 100 must skip the parked 70 (same class) and
+        // take the best fit above it, not the newest.
+        let arena = TableArena::new();
+        arena.give_f64(Vec::with_capacity(120)); // class 7
+        arena.give_f64(Vec::with_capacity(101)); // class 7
+        arena.give_f64(Vec::with_capacity(70)); // class 7, newest
+        let buf = arena.take_f64(100, 0.0);
+        assert_eq!(buf.capacity(), 101);
+        // With no fitting class-7 buffer left, the class above serves.
+        arena.give_f64(Vec::with_capacity(200)); // class 8
+        let big = arena.take_f64(125, 0.0);
+        assert_eq!(big.capacity(), 200);
+        assert_eq!(arena.stats().bucket_hits[7..9], [1, 1]);
     }
 
     #[test]

@@ -8,28 +8,34 @@
 //! [`DpTables`]), the shared `Edisk` recurrence ([`edisk_level`]) and the
 //! finalized-entry accounting behind `DpStatistics::table_entries`.
 //!
-//! Storage is struct-of-arrays: every level keeps a dense `f64` **value
-//! plane** — the only data the hot candidate scans touch — and a separate
-//! `u32` **argmin plane** that is written once per finalized cell and read
-//! again only by schedule reconstruction.  Splitting the planes keeps the
-//! scanned cache lines free of argmin bytes (and `u32` halves the argmin
-//! footprint outright); since the argmin of a cell is a pure function of its
-//! value scan, the split cannot change any schedule.  Boundary indices are
-//! stored as `u32` with [`NO_CHOICE`] as the "not computed" sentinel — chain
-//! sizes beyond `u32` are far outside the `O(n⁴)`–`O(n⁶)` DP regime.
+//! Storage is struct-of-arrays: every level keeps an `f64` **value plane** —
+//! the only data the hot candidate scans touch — and a separate `u32`
+//! **argmin plane** that is written once per finalized cell and read again
+//! only by schedule reconstruction.  Splitting the planes keeps the scanned
+//! cache lines free of argmin bytes (and `u32` halves the argmin footprint
+//! outright); since the argmin of a cell is a pure function of its value
+//! scan, the split cannot change any schedule.  Boundary indices are stored
+//! as `u32` with [`NO_CHOICE`] as the "not computed" sentinel — chain sizes
+//! beyond `u32` are far outside the `O(n⁴)`–`O(n⁶)` DP regime.  Both `Everif`
+//! planes are packed upper trapezoids ([`SliceTable2`]): row `m1` stores only
+//! the columns `m1..=n` the recurrences write, so a slice holds no dead cells
+//! for the kernels to fill, extensions to re-stride or snapshots to copy.
+//!
+//! `table_entries` is kept as a running count: each slice adds the finite
+//! value cells it writes as it finalizes a column ([`DiskSlice::entries`]),
+//! so reading the statistics costs `O(n)`, not a scan of every plane.
 //!
 //! All backing buffers are checked out of a [`TableArena`] and returned to
-//! it when the tables are retired ([`DpTables::recycle`]), so a steady-state
-//! engine re-solves without touching the heap.  The tables are also
-//! growable (via [`crate::tables::SliceTable2::grow`], in place, and
-//! [`DiskSlice::grow`]): the incremental-in-`n` solver
-//! ([`crate::incremental`]) extends a finished table set from `n` to
+//! it when the tables are retired ([`DpTables::recycle`]), so a long-lived
+//! engine re-solves mostly from recycled buffers.  The tables are also
+//! growable (via [`SliceTable2::grow`], in place, and [`DiskSlice::grow`]):
+//! the engine's extension route extends a finished table set from `n` to
 //! `n' > n` when the task-weight prefix is unchanged, re-running only the
 //! new columns.
 
 use crate::arena::TableArena;
 use crate::simd_scan::ScanCounters;
-use crate::tables::SliceTable2;
+use crate::tables::{trapezoid_len, SliceTable2};
 use rayon::prelude::*;
 
 /// "Not computed" sentinel of the `u32` argmin planes.
@@ -38,8 +44,9 @@ pub(crate) const NO_CHOICE: u32 = u32::MAX;
 /// The self-contained DP state of one disk-segment slice: everything the
 /// recurrences compute for a fixed predecessor disk checkpoint `d1`.
 pub(crate) struct DiskSlice {
-    /// `Everif(d1, m1, v2)` value plane; rows span `m1 ∈ d1..n` (one row when
-    /// interior memory checkpoints are forbidden, as in `A_DV*`).
+    /// `Everif(d1, m1, v2)` value plane, packed: rows span `m1 ∈ d1..n` (one
+    /// row when interior memory checkpoints are forbidden, as in `A_DV*`) and
+    /// row `m1` holds the columns `v2 ∈ m1..=n`.
     pub everif: SliceTable2<f64>,
     /// Argmin `v1` plane for `Everif(d1, m1, v2)` (reconstruction only).
     pub everif_choice: SliceTable2<u32>,
@@ -53,30 +60,29 @@ pub(crate) struct DiskSlice {
     /// Blocked-scan dispatch tallies of this slice (cumulative, like
     /// `candidates`; see [`ScanCounters`]).
     pub scan: ScanCounters,
+    /// Finite value cells written so far (`Everif` and `Emem`), counted by
+    /// the kernels as they finalize each column — always equal to
+    /// [`Self::count_finite_entries`], without its scan.
+    pub entries: usize,
 }
 
 impl DiskSlice {
     /// Checks out an empty slice for disk predecessor `d1` with `rows`
-    /// Everif rows and columns `0..=n`, drawing every plane from `arena`.
+    /// packed Everif rows and columns up to `n`, drawing every plane from
+    /// `arena`.
+    ///
+    /// # Panics
+    /// Panics if the rows do not fit the columns (`d1 + rows > n + 1`).
     pub fn new_in(arena: &TableArena, n: usize, d1: usize, rows: usize) -> Self {
-        let dim = n + 1;
+        let cells = trapezoid_len(n, d1, rows).expect("slice rows fit the columns");
         Self {
-            everif: SliceTable2::from_buffer(
-                n,
-                d1,
-                rows,
-                arena.take_f64(rows * dim, f64::INFINITY),
-            ),
-            everif_choice: SliceTable2::from_buffer(
-                n,
-                d1,
-                rows,
-                arena.take_u32(rows * dim, NO_CHOICE),
-            ),
-            emem: arena.take_f64(dim, f64::INFINITY),
-            emem_choice: arena.take_u32(dim, NO_CHOICE),
+            everif: SliceTable2::from_buffer(n, d1, rows, arena.take_f64(cells, f64::INFINITY)),
+            everif_choice: SliceTable2::from_buffer(n, d1, rows, arena.take_u32(cells, NO_CHOICE)),
+            emem: arena.take_f64(n + 1, f64::INFINITY),
+            emem_choice: arena.take_u32(n + 1, NO_CHOICE),
             candidates: 0,
             scan: ScanCounters::default(),
+            entries: 0,
         }
     }
 
@@ -108,11 +114,12 @@ impl DiskSlice {
             emem_choice,
             candidates: self.candidates,
             scan: self.scan,
+            entries: self.entries,
         }
     }
 
-    /// Grows the slice in place to columns `0..=new_n` and `new_rows` Everif
-    /// rows, preserving every computed entry.
+    /// Grows the slice in place to columns up to `new_n` and `new_rows`
+    /// Everif rows, preserving every computed entry.
     pub fn grow(&mut self, new_n: usize, new_rows: usize) {
         self.everif.grow(new_n, new_rows, f64::INFINITY);
         self.everif_choice.grow(new_n, new_rows, NO_CHOICE);
@@ -120,8 +127,10 @@ impl DiskSlice {
         self.emem_choice.resize(new_n + 1, NO_CHOICE);
     }
 
-    /// Number of finalized (actually written) value entries in this slice.
-    pub fn finalized_entries(&self) -> usize {
+    /// Counts the finite value cells by scanning both value planes: how a
+    /// decoded snapshot slice recovers [`Self::entries`], and the reference
+    /// the running count is tested against.
+    pub fn count_finite_entries(&self) -> usize {
         self.everif.as_slice().iter().filter(|v| v.is_finite()).count()
             + self.emem.iter().filter(|v| v.is_finite()).count()
     }
@@ -150,11 +159,12 @@ pub(crate) struct DpTables {
 
 impl DpTables {
     /// Number of finalized value entries across all levels — the honest
-    /// `DpStatistics::table_entries`: allocated-but-never-written cells
-    /// (initialised to `INFINITY`) are not counted, so pruning and slice
-    /// collapse gains show up in the reported statistics.
+    /// `DpStatistics::table_entries`: never-written cells (initialised to
+    /// `INFINITY`) are not counted, so pruning and slice collapse gains show
+    /// up in the reported statistics.  Sums the slices' running counts and
+    /// scans only the `Edisk` row, `O(n)` in all.
     pub fn finalized_entries(&self) -> usize {
-        self.slices.iter().map(DiskSlice::finalized_entries).sum::<usize>()
+        self.slices.iter().map(|slice| slice.entries).sum::<usize>()
             + self.edisk.iter().filter(|v| v.is_finite()).count()
     }
 
@@ -310,4 +320,82 @@ fn edisk_level(
         edisk_choice[d2] = best_d1;
     }
     candidates
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{kernel_for, KernelState};
+    use crate::segment::SegmentCalculator;
+    use crate::Algorithm;
+    use chain2l_model::platform::scr;
+    use chain2l_model::{ResilienceCosts, Scenario, TaskChain};
+
+    /// Hera with 400 s tasks: a prefix-stable chain the extension route can
+    /// grow one task at a time.
+    fn weak(n: usize) -> Scenario {
+        let platform = scr::hera();
+        let costs = ResilienceCosts::paper_defaults(&platform);
+        Scenario::new(TaskChain::from_weights(vec![400.0; n]).unwrap(), platform, costs).unwrap()
+    }
+
+    /// The `Everif` cells the recurrences define for an `n`-task chain:
+    /// `Everif(d1, m1, v2)` for `d1 ≤ m1 ≤ v2 ≤ n`, `m1 < n`, with `m1 = d1`
+    /// only when interior memory checkpoints are forbidden (`A_DV*`).
+    fn defined_everif_cells(n: usize, algorithm: Algorithm) -> usize {
+        (0..n)
+            .map(|d1| {
+                let last_m1 = if algorithm == Algorithm::SingleLevel { d1 + 1 } else { n };
+                (d1..last_m1).map(|m1| n - m1 + 1).sum::<usize>()
+            })
+            .sum()
+    }
+
+    /// Asserts that the tables store exactly the defined cells, every one of
+    /// them written, and that the running `table_entries` equals a scan.
+    fn assert_no_dead_cells(state: &KernelState, n: usize, algorithm: Algorithm, when: &str) {
+        let tables = &state.tables;
+        assert_eq!(tables.slices.len(), n, "{when}");
+        let stored: usize = tables.slices.iter().map(|s| s.everif.entries()).sum();
+        assert_eq!(stored, defined_everif_cells(n, algorithm), "{when}: stored Everif cells");
+        for (d1, slice) in tables.slices.iter().enumerate() {
+            assert_eq!(slice.everif.row_base(), d1, "{when}");
+            assert_eq!(slice.everif_choice.entries(), slice.everif.entries(), "{when}");
+            assert!(
+                slice.everif.as_slice().iter().all(|v| v.is_finite()),
+                "{when}: slice {d1} stores an unwritten Everif cell"
+            );
+            assert_eq!(slice.entries, slice.count_finite_entries(), "{when}: slice {d1}");
+        }
+        let scanned = tables.slices.iter().map(DiskSlice::count_finite_entries).sum::<usize>()
+            + tables.edisk.iter().filter(|v| v.is_finite()).count();
+        assert_eq!(state.statistics().table_entries, scanned, "{when}: reported vs scanned");
+    }
+
+    #[test]
+    fn tables_store_no_dead_cells_after_cold_fills_and_extensions() {
+        let arena = TableArena::new();
+        for algorithm in [
+            Algorithm::SingleLevel,
+            Algorithm::TwoLevel,
+            Algorithm::TwoLevelPartial,
+            Algorithm::TwoLevelPartialRefined,
+        ] {
+            let kernel = kernel_for(algorithm);
+            for n in [1usize, 2, 10, 50, 90] {
+                let scenario = weak(n);
+                let calc = SegmentCalculator::new(&scenario);
+                let mut state = kernel.compute(&calc, n, &arena);
+                assert_no_dead_cells(&state, n, algorithm, &format!("{algorithm:?} cold n={n}"));
+                for next in n + 1..=n + 2 {
+                    let scenario = weak(next);
+                    let calc = SegmentCalculator::new(&scenario);
+                    kernel.extend(&calc, &mut state, next - 1, next, &arena);
+                    let when = format!("{algorithm:?} n={n} extended to {next}");
+                    assert_no_dead_cells(&state, next, algorithm, &when);
+                }
+                state.recycle(&arena);
+            }
+        }
+    }
 }

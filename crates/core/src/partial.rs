@@ -723,9 +723,12 @@ pub(crate) fn fill_disk_slice(
     };
     let mut bounds = arena.take_f64(n + 1, f64::INFINITY);
     let mut candidates = 0u64;
+    // Finite value cells this pass writes (`DiskSlice::entries`).
+    let mut written = 0usize;
 
     if from_m2 == d1 + 1 {
         slice.emem[d1] = 0.0;
+        written += 1;
     }
     for m2 in from_m2..=n {
         // One floor column per (d1, m2), hoisted across every (m1, m2)
@@ -748,6 +751,9 @@ pub(crate) fn fill_disk_slice(
         let w_m2 = prefix[m2];
         let mut best_mem = f64::INFINITY;
         let mut best_m1 = NO_CHOICE;
+        // The newest row's diagonal `Everif(d1, m2 − 1, m2 − 1)` is first
+        // written in this column.
+        written += 1;
         // m1 is a DP coordinate indexing several tables, not a plain scan.
         #[allow(clippy::needless_range_loop)]
         for m1 in d1..m2 {
@@ -769,6 +775,8 @@ pub(crate) fn fill_disk_slice(
             // left-to-right strict tie-breaking exactly.
             let mut best_verif = f64::INFINITY;
             let mut best_v1 = NO_CHOICE;
+            // The packed row starts at column m1: element `v1 − m1` is
+            // Everif(d1, m1, v1).
             let row = slice.everif.row(m1);
             let use_predictor = use_floor && m2 - m1 >= PREDICT_SPAN_MIN;
             let mut threshold = f64::INFINITY;
@@ -779,7 +787,7 @@ pub(crate) fn fill_disk_slice(
                 // re-sliced floor/column operands (same arithmetic and
                 // order as the scalar expression, bounds checks elided).
                 let mut best_bound = f64::INFINITY;
-                let left_values = &row[m1..m2];
+                let left_values = &row[..m2 - m1];
                 let floor_w = &floor_col[m1..m2];
                 let em1_fs = &col.em1_fs[m1..m2];
                 let prefix_w = &prefix[m1..m2];
@@ -831,7 +839,7 @@ pub(crate) fn fill_disk_slice(
                         seed_v1 = m1 + off;
                     }
                 }
-                let left = row[seed_v1];
+                let left = row[seed_v1 - m1];
                 let (value, seed_candidates) = epartial_interval(
                     calc,
                     d1,
@@ -856,7 +864,7 @@ pub(crate) fn fill_disk_slice(
                 if use_predictor && bounds[v1] > threshold {
                     continue;
                 }
-                let left = row[v1];
+                let left = row[v1 - m1];
                 debug_assert!(left.is_finite(), "Everif({d1},{m1},{v1}) not computed");
                 let value = if v1 == seed_v1 {
                     seed_value
@@ -886,6 +894,7 @@ pub(crate) fn fill_disk_slice(
                 }
             }
             slice.everif.set(m1, m2, best_verif);
+            written += usize::from(best_verif.is_finite());
             choice_col[m1] = best_v1;
 
             let cand = emem_left + best_verif + c_mem;
@@ -900,9 +909,11 @@ pub(crate) fn fill_disk_slice(
         slice.everif_choice.write_column(m2, d1, &choice_col[d1..m2]);
         slice.emem[m2] = best_mem;
         slice.emem_choice[m2] = best_m1;
+        written += usize::from(best_mem.is_finite());
     }
     slice.candidates += candidates;
     slice.scan.add(scan);
+    slice.entries += written;
     arena.give_u32(choice_col);
     scratch.release(arena);
     if let Some((floor, er_lb)) = own_floor {

@@ -20,8 +20,8 @@
 //! stable-hash partition, which routes by solving context) and the
 //! [`EngineLimits`] the snapshot was taken under; the cache payload is the
 //! LRU-ordered `(fingerprint, solution)` list; the contexts payload is the
-//! LRU-ordered retained-table list (dense `f64` value / `u32` argmin planes,
-//! copied verbatim).
+//! LRU-ordered retained-table list (packed upper-trapezoid `f64` value /
+//! `u32` argmin planes, copied verbatim; see [`crate::tables`]).
 //!
 //! **Crash consistency** ([`write_atomic`]): the encoding is written to a
 //! sibling `.tmp` file, fsynced, atomically renamed over the target, and the
@@ -46,7 +46,7 @@ use crate::dp::{DiskSlice, DpTables};
 use crate::engine::{ContextExport, Engine};
 use crate::simd_scan::ScanCounters;
 use crate::solution::{DpStatistics, Solution};
-use crate::tables::SliceTable2;
+use crate::tables::{trapezoid_len, SliceTable2};
 use crate::{Algorithm, EngineLimits, TableArena};
 use chain2l_model::{Action, ActionCounts, Schedule};
 use std::fs;
@@ -60,13 +60,15 @@ pub const MAGIC: [u8; 8] = *b"C2LSNAPS";
 ///
 /// The version also covers the shard-routing digest
 /// ([`ScenarioFingerprint::stable_hash`]), because a shard's snapshot holds
-/// exactly the keys that digest sent it.  Version 3 is version 2's byte
-/// layout under routing by solving context instead of by whole fingerprint;
-/// a version-2 file was partitioned by the old digest, so it is rejected
-/// and that shard cold-starts, which is always sound.  Version 2 added the
-/// blocked-scan tallies ([`crate::simd_scan`]) to the solution statistics
-/// and the context tables.
-pub const FORMAT_VERSION: u32 = 3;
+/// exactly the keys that digest sent it.  Version 4 stores each slice's
+/// `Everif` planes packed — row `m1` holds only the columns `m1..=n` — where
+/// version 3 stored full `rows × (n + 1)` rectangles; a version-3 file is
+/// rejected and that shard cold-starts once, which is always sound.
+/// Version 3 was version 2's byte layout under routing by solving context
+/// instead of by whole fingerprint.  Version 2 added the blocked-scan
+/// tallies ([`crate::simd_scan`]) to the solution statistics and the
+/// context tables.
+pub const FORMAT_VERSION: u32 = 4;
 
 const SECTION_HEADER: u32 = 1;
 const SECTION_CACHE: u32 = 2;
@@ -328,7 +330,7 @@ impl<'a> Reader<'a> {
         Ok(self.u64_vec(len)?.into_iter().map(f64::from_bits).collect())
     }
 
-    /// A dense `f64` plane, its buffer drawn from `arena`.
+    /// An `f64` plane of `len` cells, its buffer drawn from `arena`.
     fn f64_plane(&mut self, len: usize, arena: &TableArena) -> Result<Vec<f64>, Reject> {
         let byte_len = len.checked_mul(8).ok_or_else(|| malformed("plane size overflow"))?;
         let bytes = self.take(byte_len)?;
@@ -339,7 +341,7 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// A dense `u32` plane, its buffer drawn from `arena`.
+    /// A `u32` plane of `len` cells, its buffer drawn from `arena`.
     fn u32_plane(&mut self, len: usize, arena: &TableArena) -> Result<Vec<u32>, Reject> {
         let byte_len = len.checked_mul(4).ok_or_else(|| malformed("plane size overflow"))?;
         let bytes = self.take(byte_len)?;
@@ -683,26 +685,30 @@ fn decode_contexts(payload: &[u8], arena: &TableArena) -> Result<Vec<ContextExpo
             if row_base != d1 {
                 return Err(malformed(format!("slice {d1} claims row base {row_base}")));
             }
+            // A slice's Everif rows are `m1 ∈ d1..d1 + rows` with `m1 < n`.
             let rows = r.len()?;
-            if rows == 0 || rows > dim {
-                return Err(malformed(format!("slice {d1} has {rows} rows (dim {dim})")));
+            if rows == 0 || rows > n - d1 {
+                return Err(malformed(format!("slice {d1} has {rows} rows for {n} tasks")));
             }
             let plane_len =
-                rows.checked_mul(dim).ok_or_else(|| malformed("slice plane overflow"))?;
+                trapezoid_len(n, d1, rows).ok_or_else(|| malformed("slice plane overflow"))?;
             let everif = r.f64_plane(plane_len, arena)?;
             let everif_choice = r.u32_plane(plane_len, arena)?;
             let emem = r.f64_plane(dim, arena)?;
             let emem_choice = r.u32_plane(dim, arena)?;
             let candidates = r.u64()?;
             let scan = ScanCounters { simd_blocks: r.u64()?, scalar_fallbacks: r.u64()? };
-            slices.push(DiskSlice {
+            let mut slice = DiskSlice {
                 everif: SliceTable2::from_buffer(n, d1, rows, everif),
                 everif_choice: SliceTable2::from_buffer(n, d1, rows, everif_choice),
                 emem,
                 emem_choice,
                 candidates,
                 scan,
-            });
+                entries: 0,
+            };
+            slice.entries = slice.count_finite_entries();
+            slices.push(slice);
         }
         let edisk = r.f64_plane(dim, arena)?;
         let edisk_choice = r.u32_plane(dim, arena)?;
@@ -988,9 +994,10 @@ mod tests {
         let engine = Engine::new();
         engine.solve(&paper(5), Algorithm::SingleLevel);
         let fresh = Engine::new();
-        // A future version, and version 2: the same byte layout, but
-        // partitioned by the old whole-fingerprint routing digest.
-        for version in [99u32, 2] {
+        // A future version; version 3, whose context planes are full
+        // rectangles; and version 2, partitioned by the old whole-fingerprint
+        // routing digest.
+        for version in [99u32, 3, 2] {
             let mut bytes = encode(&engine, ShardIdentity::standalone());
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             let path = temp_path(&format!("version-{version}"));

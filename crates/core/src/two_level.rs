@@ -143,9 +143,12 @@ pub(crate) fn fill_disk_slice(
     let mut choice_col = arena.take_u32(n + 1, NO_CHOICE);
     let mut scan = ScanCounters::default();
     let mut candidates = 0u64;
+    // Finite value cells this pass writes (`DiskSlice::entries`).
+    let mut written = 0usize;
 
     if from_m2 == d1 + 1 {
         slice.emem[d1] = 0.0;
+        written += 1;
     }
     for m2 in from_m2..=n {
         let col = calc.interval_col(m2);
@@ -154,6 +157,11 @@ pub(crate) fn fill_disk_slice(
         let m1_end = if options.allow_interior_memory_checkpoints { m2 } else { d1 + 1 };
         let mut best_mem = f64::INFINITY;
         let mut best_m1 = NO_CHOICE;
+        // The newest row's diagonal `Everif(d1, m2 − 1, m2 − 1)` is first
+        // written in this column.
+        if m1_end == m2 {
+            written += 1;
+        }
         for m1 in d1..m1_end {
             let emem_left = slice.emem[m1];
             debug_assert!(emem_left.is_finite(), "Emem({d1},{m1}) not computed");
@@ -184,8 +192,8 @@ pub(crate) fn fill_disk_slice(
             let mut best_v1 = NO_CHOICE;
             let load_a = 1.0 + lf * a;
             let span_floor = (w_m2 - prefix[m1]) * load_a + v_star;
-            let row = slice.everif.row(m1);
-            let left_values = &row[m1..m2];
+            // The packed row starts at column m1: element `off` is v1 = m1 + off.
+            let left_values = &slice.everif.row(m1)[..m2 - m1];
             let prefix_w = &prefix[m1..m2];
             let exp_s = &col.exp_s[m1..m2];
             let em1_f = &col.em1_f[m1..m2];
@@ -298,6 +306,7 @@ pub(crate) fn fill_disk_slice(
                 }
             }
             slice.everif.set(m1, m2, best_verif);
+            written += usize::from(best_verif.is_finite());
             choice_col[m1] = best_v1;
 
             // Candidate for Emem(d1, m2): last memory checkpoint at m1.
@@ -313,9 +322,11 @@ pub(crate) fn fill_disk_slice(
         slice.everif_choice.write_column(m2, d1, &choice_col[d1..m1_end]);
         slice.emem[m2] = best_mem;
         slice.emem_choice[m2] = best_m1;
+        written += usize::from(best_mem.is_finite());
     }
     slice.candidates += candidates;
     slice.scan.add(scan);
+    slice.entries += written;
     arena.give_u32(choice_col);
 }
 
