@@ -12,6 +12,10 @@
 //!   cargo run --release -p chain2l-bench --bin dp_report -- \
 //!       --wall --check-wall crates/bench/baselines/BENCH_wall.json   # wall-clock gate
 //!
+//! `--help` prints the flags.  Any other argument, or a missing baseline
+//! path, is a usage error (exit 2) raised before anything is solved or
+//! written.
+//!
 //! `--check` re-runs the reference scenarios and **fails (exit 1) when any
 //! pruned `candidates_examined` exceeds its recorded baseline** — the counts
 //! are deterministic, so any regression is a real pruning regression, not
@@ -512,22 +516,85 @@ fn check_baseline(cells: &[Cell], baseline: &str) -> usize {
     regressions
 }
 
+/// Printed by `--help` (stdout, exit 0) and after a usage error (stderr,
+/// exit 2).
+const USAGE: &str = "\
+usage: dp_report [--full | --print-baseline | --check BASELINE.csv]
+       dp_report --wall [--check-wall BASELINE.json]
+
+  (no flag)                  pruned vs exhaustive kernels and the incremental
+                             series; writes BENCH_dp.json to the results dir
+  --full                     also run the exhaustive n = 100 cell
+  --print-baseline           print the candidate-count baseline rows
+  --check BASELINE.csv       exit 1 if a candidate count exceeds its baseline
+  --wall                     cold-solve wall clock; writes BENCH_wall.json
+  --check-wall BASELINE.json (with --wall) exit 1 if the n = 50 cell regresses
+  --help                     print this text
+
+The results dir is `results/`, or CHAIN2L_RESULTS_DIR when set.
+";
+
+/// What the command line asks for.
+#[derive(Default)]
+struct Options {
+    check: Option<String>,
+    print_baseline: bool,
+    full: bool,
+    wall: bool,
+    check_wall: Option<String>,
+}
+
+/// Parses the command line: `Ok(None)` is `--help`, `Err` a usage error.
+/// Nothing is solved or written before the whole line parses.
+fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+    let mut options = Options::default();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--help" => return Ok(None),
+            "--full" => options.full = true,
+            "--print-baseline" => options.print_baseline = true,
+            "--wall" => options.wall = true,
+            "--check" | "--check-wall" => {
+                let path = iter
+                    .next()
+                    .filter(|path| !path.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} needs a baseline path"))?;
+                if arg == "--check" {
+                    options.check = Some(path.clone());
+                } else {
+                    options.check_wall = Some(path.clone());
+                }
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    if options.check_wall.is_some() && !options.wall {
+        return Err("--check-wall needs --wall".to_string());
+    }
+    Ok(Some(options))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--wall") {
-        let check = args
-            .iter()
-            .position(|a| a == "--check-wall")
-            .map(|i| args.get(i + 1).cloned().expect("--check-wall needs a baseline path"));
-        std::process::exit(run_wall(check, "crates/bench/baselines/BENCH_wall.json"));
+    let options = match parse_args(&args) {
+        Ok(Some(options)) => options,
+        Ok(None) => {
+            print!("{USAGE}");
+            return;
+        }
+        Err(why) => {
+            eprintln!("dp_report: {why}");
+            eprint!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    if options.wall {
+        std::process::exit(run_wall(options.check_wall, "crates/bench/baselines/BENCH_wall.json"));
     }
-    let check = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).cloned().expect("--check needs a baseline path"));
-    let exhaustive = if check.is_some() || args.iter().any(|a| a == "--print-baseline") {
+    let exhaustive = if options.check.is_some() || options.print_baseline {
         Exhaustive::Skip
-    } else if args.iter().any(|a| a == "--full") {
+    } else if options.full {
         Exhaustive::All
     } else {
         Exhaustive::Small
@@ -555,7 +622,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = check {
+    if let Some(path) = options.check {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let regressions = check_baseline(&cells, &baseline);
@@ -567,7 +634,7 @@ fn main() {
         return;
     }
 
-    if args.iter().any(|a| a == "--print-baseline") {
+    if options.print_baseline {
         print!("{}", baseline_rows(&cells));
         return;
     }

@@ -1,34 +1,20 @@
-//! Shared helpers for the figure-regeneration binaries and the Criterion
-//! benchmarks of the `chain2l` reproduction.
+//! Shared helpers of the `dp_report` and `sweeps` binaries of the
+//! `chain2l` reproduction.  The paper's figures and Table I are rendered by
+//! `chain2l experiment`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use chain2l_analysis::experiments::ExperimentConfig;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Where the figure binaries write their CSV output (`results/` at the
+/// Where the binaries write their result files (`results/` at the
 /// workspace root, overridable with the `CHAIN2L_RESULTS_DIR` environment
 /// variable).
 pub fn results_dir() -> PathBuf {
     match std::env::var_os("CHAIN2L_RESULTS_DIR") {
         Some(dir) => PathBuf::from(dir),
         None => PathBuf::from("results"),
-    }
-}
-
-/// Selects the sweep granularity from command-line flags:
-/// `--paper` (full 1..=50 sweep), `--quick` (tiny), default `--coarse`
-/// (every 5 tasks up to 50 — the granularity used in EXPERIMENTS.md).
-pub fn config_from_args<I: IntoIterator<Item = String>>(args: I) -> ExperimentConfig {
-    let args: Vec<String> = args.into_iter().collect();
-    if args.iter().any(|a| a == "--paper") {
-        ExperimentConfig::paper()
-    } else if args.iter().any(|a| a == "--quick") {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::coarse()
     }
 }
 
@@ -59,17 +45,6 @@ pub fn read_result_file(path: &Path) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_selection_from_flags() {
-        let paper = config_from_args(vec!["--paper".to_string()]);
-        assert_eq!(paper.task_counts.len(), 50);
-        let quick = config_from_args(vec!["--quick".to_string()]);
-        assert!(quick.max_tasks() <= 30);
-        let coarse = config_from_args(Vec::<String>::new());
-        assert_eq!(coarse.max_tasks(), 50);
-        assert_eq!(coarse.task_counts.len(), 10);
-    }
 
     #[test]
     fn result_files_round_trip() {

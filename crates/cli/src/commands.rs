@@ -21,10 +21,10 @@ chain2l — two-level checkpointing and verifications for linear task graphs
 (reproduction of Benoit, Cavelan, Robert, Sun — IPDPSW/PDSEC 2016)
 
 USAGE:
-  chain2l <command> [options]
+  chain2l <command> [options]     (`--help` after any command prints this text;
+                                  an option the command does not take is an error)
 
 COMMANDS:
-  platforms                       print the Table I platforms
   optimize                        run one of the optimizers on one scenario
   evaluate                        evaluate a hand-written schedule
   simulate                        Monte-Carlo replay of the optimal schedule
@@ -90,8 +90,6 @@ SERVE:
   --cache-cap <n>                 bound every shard engine to n cached
                                   solutions and n retained DP table contexts
                                   (LRU eviction; default: unbounded)
-  --window <n>                    per-connection inflight window before the
-                                  daemon defers reads (backpressure; default: 128)
   --state-dir <dir>               persist each shard's warm state into this
                                   (existing, writable) directory: snapshots are
                                   loaded at boot, written every --snapshot-every
@@ -118,11 +116,9 @@ BENCH-LOAD:
   --connections <n>               concurrent pipelined connections (default: 500)
   --requests <n>                  requests per connection (default: 20)
   --window <n>                    pipelined window per connection (default: 8)
-  --fault-rate <p>                inject benign short-I/O faults on the spawned
-                                  daemon's frame paths with probability p
-                                  (results stay correct; default: 0)
-  --failpoints <spec>             explicit failpoint schedule for the spawned
-                                  daemon (combinable with --fault-rate)
+  --failpoints <spec>             failpoint schedule for the spawned daemon, e.g.
+                                  frame.read=short@1/64;frame.write=short@1/64
+                                  (benign short I/O: results stay correct)
   --max-inflight <n>              admission-control cap of the spawned daemon;
                                   sheds appear in the report's shed/retries
   --check <baseline.json>         gate against a recorded baseline, exit 1 on
@@ -140,13 +136,48 @@ SENSITIVITY:
 EXPERIMENT:
   --quick | --coarse | --paper    sweep granularity (default: --coarse)
   --tasks <n>                     strip size for fig6 (default: 50)
+  --weight <seconds>              total weight for fig6 (default: 25000)
+  --csv                           table1 and fig5 as CSV
 ";
+
+/// The positionals and options each command takes (options without the
+/// leading `--`, space separated).  [`run`] rejects an option outside its
+/// command's row, or a positional beyond its count, as a usage error, so a
+/// misspelt option never falls back to its default in silence.  Only the
+/// daemon sets `serve`'s last three options, on the workers it spawns.
+const COMMANDS: &[(&str, usize, &str)] = &[
+    ("optimize", 0, "platform pattern tasks weight algorithm strips"),
+    ("evaluate", 0, "platform pattern tasks weight schedule"),
+    ("simulate", 0, "platform pattern tasks weight algorithm replications seed threads histogram"),
+    ("validate", 0, "pattern tasks weight replications seed threads csv"),
+    ("experiment", 1, "quick coarse paper tasks weight csv"),
+    ("sweep", 1, "platform tasks weight csv"),
+    ("batch", 0, "file remote retries request-timeout retry-seed no-simd"),
+    (
+        "serve",
+        0,
+        "addr shards cache-cap state-dir snapshot-every max-inflight failpoints stats stop \
+         health internal-shard shard-index shard-count",
+    ),
+    (
+        "bench-load",
+        0,
+        "addr shards connections requests window failpoints max-inflight check print-baseline",
+    ),
+    ("solve", 0, "platform algorithm series per-task-weight"),
+    ("sensitivity", 0, "platform pattern tasks weight algorithm step"),
+];
 
 /// Runs the command described by `args` and returns the text to print.
 pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
+    if matches!(args.command.as_str(), "help" | "--help" | "-h")
+        || args.flag("help")
+        || args.positionals.iter().any(|p| p == "-h")
+    {
+        return Ok(HELP.to_string());
+    }
+    check_arguments(args)?;
     match args.command.as_str() {
-        "help" | "--help" | "-h" => Ok(HELP.to_string()),
-        "platforms" => Ok(render_table(&experiments::table1(), args)),
         "optimize" => cmd_optimize(args),
         "evaluate" => cmd_evaluate(args),
         "simulate" => cmd_simulate(args),
@@ -159,6 +190,22 @@ pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
         "solve" => cmd_solve(args),
         "sensitivity" => cmd_sensitivity(args),
         other => Err(ArgError::Unknown { what: other.to_string() }),
+    }
+}
+
+/// Checks `args` against its command's row of [`COMMANDS`].
+fn check_arguments(args: &ParsedArgs) -> Result<(), ArgError> {
+    let unknown = |what: String| Err(ArgError::Unknown { what });
+    let Some((_, positionals, options)) = COMMANDS.iter().find(|(name, ..)| *name == args.command)
+    else {
+        return unknown(args.command.clone());
+    };
+    if let Some(extra) = args.positionals.get(*positionals) {
+        return unknown(extra.clone());
+    }
+    match args.options.keys().find(|key| !options.split_whitespace().any(|o| o == *key)) {
+        Some(key) => unknown(format!("--{key}")),
+        None => Ok(()),
     }
 }
 
@@ -607,15 +654,6 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, ArgError> {
             Some(cap)
         }
     };
-    let window = args.u64_or("window", chain2l_service::server::DEFAULT_WINDOW)?;
-    if window == 0 {
-        return Err(ArgError::InvalidValue {
-            option: "window".into(),
-            value: "0".into(),
-            expected: "a positive inflight window (a zero window would never read a request)"
-                .into(),
-        });
-    }
     let snapshot_every = match args.options.get("snapshot-every") {
         None => None,
         Some(_) => {
@@ -746,7 +784,6 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, ArgError> {
     }
     let mut config = ServeConfig::self_hosted(addr, shards, cache_cap)
         .map_err(|e| ArgError::runtime("resolving the shard worker command", e))?;
-    config.window = window;
     config.state_dir = state_dir;
     config.max_inflight = max_inflight;
     config.failpoints = failpoints;
@@ -835,37 +872,12 @@ fn cmd_load_bench(args: &ParsedArgs) -> Result<String, ArgError> {
     let window = args.usize_or("window", 8)?.max(1);
     let shards = args.usize_or("shards", 2)?.max(1);
 
-    // Fault-injection passthrough for the spawned daemon: an explicit
-    // failpoint schedule, a convenience `--fault-rate` (benign short-I/O
-    // faults on the daemon's frame paths — results stay correct, the
-    // robustness machinery gets exercised), and the admission-control cap.
-    let fault_rate = match args.options.get("fault-rate") {
-        None => 0.0,
-        Some(_) => {
-            let rate = args.f64_or("fault-rate", 0.0)?;
-            if !(rate.is_finite() && (0.0..=1.0).contains(&rate)) {
-                return Err(ArgError::InvalidValue {
-                    option: "fault-rate".into(),
-                    value: rate.to_string(),
-                    expected: "a fault probability in [0, 1]".into(),
-                });
-            }
-            rate
-        }
-    };
-    let mut fault_clauses: Vec<String> = Vec::new();
-    if fault_rate > 0.0 {
-        let num = ((fault_rate * 1024.0).round() as u64).clamp(1, 1024);
-        fault_clauses.push(format!("frame.read=short@{num}/1024"));
-        fault_clauses.push(format!("frame.write=short@{num}/1024"));
-    }
-    if let Some(spec) = args.options.get("failpoints") {
-        fault_clauses.push(spec.clone());
-    }
+    // Passed through to the spawned daemon: a failpoint schedule and the
+    // admission-control cap.
     let mut extra: Vec<String> = Vec::new();
-    if !fault_clauses.is_empty() {
+    if let Some(spec) = args.options.get("failpoints") {
         extra.push("--failpoints".into());
-        extra.push(fault_clauses.join(";"));
+        extra.push(spec.clone());
     }
     if let Some(cap) = args.options.get("max-inflight") {
         extra.push("--max-inflight".into());
@@ -878,8 +890,8 @@ fn cmd_load_bench(args: &ParsedArgs) -> Result<String, ArgError> {
                 return Err(ArgError::InvalidValue {
                     option: "addr".into(),
                     value: addr.clone(),
-                    expected: "no --failpoints/--fault-rate/--max-inflight (those configure \
-                               the spawned daemon; an attached daemon sets its own)"
+                    expected: "no --failpoints/--max-inflight (those configure the spawned \
+                               daemon; an attached daemon sets its own)"
                         .into(),
                 });
             }
@@ -1075,34 +1087,41 @@ fn experiment_config(args: &ParsedArgs) -> ExperimentConfig {
     }
 }
 
+/// `chain2l experiment`: the paper's Table I and Figures 5–8.  The panels
+/// of a figure share one engine, so each distinct cell is solved once; the
+/// engine statistics on stderr show it.
 fn cmd_experiment(args: &ParsedArgs) -> Result<String, ArgError> {
     let which = args
         .positionals
         .first()
         .map(|s| s.as_str())
         .ok_or(ArgError::MissingOption { option: "experiment name".into() })?;
+    if which == "table1" {
+        return Ok(render_table(&experiments::table1(), args));
+    }
     let config = experiment_config(args);
     let engine = Engine::new();
-    match which {
-        "table1" => Ok(render_table(&experiments::table1(), args)),
+    let out = match which {
         "fig5" => {
             let data = experiments::fig5(&config, &engine);
             if args.flag("csv") {
-                Ok(data.to_tables().iter().map(|t| t.to_csv()).collect::<Vec<_>>().join("\n"))
+                data.to_tables().iter().map(|t| t.to_csv() + "\n").collect()
             } else {
-                Ok(data.render())
+                data.render()
             }
         }
         "fig6" => {
             let n = args.usize_or("tasks", 50)?;
             let weight = args.f64_or("weight", experiments::PAPER_TOTAL_WEIGHT)?;
             let strips = experiments::fig6(n, weight, &engine);
-            Ok(strips.iter().map(|s| s.render()).collect::<Vec<_>>().join("\n"))
+            strips.iter().map(|s| s.render() + "\n").collect()
         }
-        "fig7" => Ok(experiments::fig7(&config, &engine).render()),
-        "fig8" => Ok(experiments::fig8(&config, &engine).render()),
-        other => Err(ArgError::Unknown { what: other.to_string() }),
-    }
+        "fig7" => experiments::fig7(&config, &engine).render(),
+        "fig8" => experiments::fig8(&config, &engine).render(),
+        other => return Err(ArgError::Unknown { what: other.to_string() }),
+    };
+    eprintln!("{which}: solver engine — {}", engine.stats());
+    Ok(out)
 }
 
 fn cmd_sweep(args: &ParsedArgs) -> Result<String, ArgError> {
@@ -1154,7 +1173,6 @@ mod tests {
     fn help_lists_every_command() {
         let out = run_tokens(&["help"]).unwrap();
         for cmd in [
-            "platforms",
             "optimize",
             "evaluate",
             "simulate",
@@ -1166,15 +1184,6 @@ mod tests {
         ] {
             assert!(out.contains(cmd), "help misses {cmd}");
         }
-    }
-
-    #[test]
-    fn platforms_prints_table_one() {
-        let out = run_tokens(&["platforms"]).unwrap();
-        assert!(out.contains("Hera"));
-        assert!(out.contains("Coastal SSD"));
-        let csv = run_tokens(&["platforms", "--csv"]).unwrap();
-        assert!(csv.starts_with("platform,"));
     }
 
     #[test]
@@ -1246,9 +1255,37 @@ mod tests {
     fn experiment_table1_and_fig6_run() {
         let out = run_tokens(&["experiment", "table1"]).unwrap();
         assert!(out.contains("Hera"));
+        assert!(out.contains("Coastal SSD"));
+        let csv = run_tokens(&["experiment", "table1", "--csv"]).unwrap();
+        assert!(csv.starts_with("platform,"));
         let out = run_tokens(&["experiment", "fig6", "--tasks", "10"]).unwrap();
         assert!(out.contains("Platform Hera with ADMV and n=10"));
         assert!(out.contains("Platform Coastal SSD"));
+    }
+
+    #[test]
+    fn experiment_figures_render_what_the_analysis_crate_builds() {
+        let quick = ExperimentConfig::quick();
+        let out = run_tokens(&["experiment", "fig5", "--quick"]).unwrap();
+        assert_eq!(out, experiments::fig5(&quick, &Engine::new()).render());
+        assert!(out.contains("Normalized makespan — Hera / uniform"), "{out}");
+        let out = run_tokens(&["experiment", "fig7", "--quick"]).unwrap();
+        assert_eq!(out, experiments::fig7(&quick, &Engine::new()).render());
+        assert!(out.contains("Hera / decrease"), "{out}");
+        let out = run_tokens(&["experiment", "fig8", "--quick"]).unwrap();
+        assert_eq!(out, experiments::fig8(&quick, &Engine::new()).render());
+        assert!(out.contains("Coastal SSD"), "{out}");
+    }
+
+    #[test]
+    fn experiment_fig5_csv_is_one_block_per_panel() {
+        let csv = run_tokens(&["experiment", "fig5", "--quick", "--csv"]).unwrap();
+        let tables = experiments::fig5(&ExperimentConfig::quick(), &Engine::new()).to_tables();
+        let blocks: Vec<&str> = csv.split_terminator("\n\n").collect();
+        assert_eq!(blocks.len(), tables.len(), "{csv}");
+        assert!(csv.starts_with("n,ADV*,ADMV*,ADMV\n"), "{csv}");
+        // Each block ends with a blank line, the last one included.
+        assert!(csv.ends_with("\n\n"), "{csv}");
     }
 
     #[test]
@@ -1435,10 +1472,10 @@ hera uniform 8
         // A zero window would deadlock every connection (nothing is ever
         // read) and a zero cache cap would evict each solution as it is
         // inserted: both are usage errors (exit code 2) before the daemon
-        // binds, not silent clamps.
+        // binds, not silent clamps.  The window is the constant 128, so
+        // `--window` is an option `serve` does not take.
         let err = run_tokens(&["serve", "--window", "0"]).unwrap_err();
-        assert!(matches!(&err, ArgError::InvalidValue { option, value, .. }
-            if option == "window" && value == "0"));
+        assert!(matches!(&err, ArgError::Unknown { what } if what == "--window"));
         assert!(err.is_usage());
 
         let err = run_tokens(&["serve", "--cache-cap", "0"]).unwrap_err();
@@ -1452,14 +1489,60 @@ hera uniform 8
         assert!(err.is_usage());
 
         // Boundary: one is the smallest legal value.  Validation runs
-        // before the `--stats` control op, so this exercises the window
-        // parse without binding a daemon; only the socket then fails.
-        let err = run_tokens(&["serve", "--stats", "--window", "1", "--addr", "127.0.0.1:1"])
+        // before the `--stats` control op, so this parses the cap without
+        // binding a daemon; only the socket then fails.
+        let err = run_tokens(&["serve", "--stats", "--cache-cap", "1", "--addr", "127.0.0.1:1"])
             .unwrap_err();
-        assert!(!err.is_usage(), "window=1 must parse; only the socket may fail");
-        let err = run_tokens(&["serve", "--stats", "--window", "0", "--addr", "127.0.0.1:1"])
-            .unwrap_err();
-        assert!(err.is_usage(), "window=0 is rejected even on control ops");
+        assert!(!err.is_usage(), "cache-cap=1 must parse; only the socket may fail");
+    }
+
+    #[test]
+    fn options_a_command_does_not_take_are_usage_errors_naming_them() {
+        for (tokens, what) in [
+            (&["optimize", "--taks", "12"][..], "--taks"),
+            (&["bench-load", "--fault-rate", "0.1"], "--fault-rate"),
+            (&["optimize", "--csv"], "--csv"),
+            (&["experiment", "fig6", "50"], "50"),
+            (&["platforms"], "platforms"),
+        ] {
+            let err = run_tokens(tokens).unwrap_err();
+            assert!(err.is_usage(), "{tokens:?}");
+            assert!(err.to_string().contains(&format!("`{what}`")), "{tokens:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_option_spelling_a_caller_passes_is_accepted() {
+        for line in [
+            // The parent daemon's worker spawn, with persistence and a cap.
+            "serve --internal-shard --cache-cap 8 --state-dir d --shard-index 0 --shard-count 2 \
+             --snapshot-every 30",
+            // perfbench's daemon and standalone worker.
+            "serve --addr a --shards 2 --state-dir d --snapshot-every 1",
+            "serve --internal-shard",
+            // bench-load's private daemon, the CI steps and the README.
+            "serve --addr a --shards 2 --failpoints f --max-inflight 2",
+            "serve --stats --health --stop --addr a",
+            "bench-load --connections 500 --requests 10 --check b.json",
+            "bench-load --print-baseline --window 8 --shards 2",
+            "batch --file f --remote a --retries 4 --retry-seed 1 --request-timeout 300 --no-simd",
+        ] {
+            let args = ParsedArgs::parse(line.split_whitespace().map(str::to_string)).unwrap();
+            assert_eq!(check_arguments(&args), Ok(()), "{line}");
+        }
+    }
+
+    #[test]
+    fn help_after_any_command_prints_help() {
+        for tokens in [
+            &["serve", "--help"][..],
+            &["serve", "--addr", "127.0.0.1:1", "--help"],
+            &["experiment", "--help"],
+            &["optimize", "-h"],
+            &["--help"],
+        ] {
+            assert_eq!(run_tokens(tokens).unwrap(), HELP, "{tokens:?}");
+        }
     }
 
     #[test]

@@ -230,14 +230,6 @@ impl IntervalCol<'_> {
     pub fn reexecution_factor_at(&self, i: usize) -> f64 {
         self.growth_fs[i]
     }
-
-    /// `e^{(λ_f + λ_s) W_{i,j}} − 1` for left endpoint `i` — the exact
-    /// left-context (`Everif`) coefficient of the inner interval DP, which
-    /// telescopes along every verification chain (DESIGN.md §4).
-    #[inline]
-    pub fn em1_fs_at(&self, i: usize) -> f64 {
-        self.em1_fs[i]
-    }
 }
 
 /// Pre-resolved scenario quantities plus the segment closed forms.

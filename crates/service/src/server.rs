@@ -29,7 +29,7 @@
 //! workers finish, but every client connection releases its responses in
 //! request order through the [`crate::frame::Conn`] sequence window, so a
 //! connection's response byte stream is a deterministic function of its
-//! request stream.  The same window (see [`ServeConfig::window`]) applies
+//! request stream.  The same window ([`DEFAULT_WINDOW`]) applies
 //! backpressure: a connection at its inflight limit simply stops being read
 //! until responses drain.
 //!
@@ -60,7 +60,9 @@ use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Default per-connection inflight window (see [`ServeConfig::window`]).
+/// Per-connection inflight window: how many requests may be accepted but
+/// not yet answered before the daemon stops reading from that connection
+/// (backpressure).  It also bounds the per-connection reorder buffer.
 pub const DEFAULT_WINDOW: u64 = 128;
 
 /// How long a graceful shutdown waits for inflight solves, and then for the
@@ -85,11 +87,6 @@ pub struct ServeConfig {
     pub shard_program: PathBuf,
     /// Arguments passed to the shard program.
     pub shard_args: Vec<String>,
-    /// Per-connection inflight window: how many requests may be accepted
-    /// but not yet answered before the daemon stops reading from that
-    /// connection (backpressure).  Also bounds the per-connection reorder
-    /// buffer.  Clamped to ≥ 1.
-    pub window: u64,
     /// Warm-start state directory: when set, every shard worker loads its
     /// snapshot (`shard-<i>-of-<N>.snap`) at boot and persists it
     /// periodically and on exit, so a restarted daemon serves warm.
@@ -111,15 +108,14 @@ pub struct ServeConfig {
 pub const DEFAULT_SNAPSHOT_EVERY_SECS: u64 = 30;
 
 impl ServeConfig {
-    /// A daemon with the given shard worker command and the default
-    /// inflight window.
+    /// A daemon with the given shard worker command, no persistence, no
+    /// admission cap and no failpoints.
     pub fn new(addr: &str, shards: usize, shard_program: PathBuf, shard_args: Vec<String>) -> Self {
         Self {
             addr: addr.to_string(),
             shards,
             shard_program,
             shard_args,
-            window: DEFAULT_WINDOW,
             state_dir: None,
             snapshot_every_secs: DEFAULT_SNAPSHOT_EVERY_SECS,
             max_inflight: 0,
@@ -169,7 +165,7 @@ struct ShardWorker {
     _stdout: BufReader<ChildStdout>,
 }
 
-/// A bound daemon: shards are running and the listener is open, but no
+/// A bound daemon: the listener is open and the shards are running, but no
 /// client is served until [`Server::run`].
 pub struct Server {
     listener: TcpListener,
@@ -179,7 +175,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Spawns the shard workers and binds the public listener.
+    /// Binds the public listener, then spawns the shard workers.
+    ///
+    /// Binding first means a worker's own link listener (an ephemeral
+    /// loopback port) can never take the address the daemon was asked to
+    /// serve on, and a bind failure leaves no worker behind.
     pub fn bind(config: &ServeConfig) -> io::Result<Server> {
         if config.shards == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "at least one shard required"));
@@ -191,12 +191,12 @@ impl Server {
             chain2l_core::failpoint::configure(spec)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         }
+        let listener = TcpListener::bind(&config.addr)?;
+        let local_addr = listener.local_addr()?;
         let mut workers = Vec::with_capacity(config.shards);
         for index in 0..config.shards {
             workers.push(spawn_shard(config, index)?);
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         Ok(Server { listener, workers, config: config.clone(), local_addr })
     }
 
@@ -363,7 +363,6 @@ struct EventLoop<'a> {
     solve_inflight: usize,
     aggs: HashMap<u64, StatsAgg>,
     next_agg: u64,
-    window: u64,
     max_inflight: u64,
     accepted: u64,
     respawns: u64,
@@ -405,7 +404,6 @@ impl<'a> EventLoop<'a> {
             solve_inflight: 0,
             aggs: HashMap::new(),
             next_agg: 0,
-            window: config.window.max(1),
             max_inflight: config.max_inflight,
             accepted: 0,
             respawns: 0,
@@ -521,7 +519,7 @@ impl<'a> EventLoop<'a> {
             let token = self.client_token(index);
             if let Some(slot) = self.clients.get(index).and_then(Option::as_ref) {
                 let mut interest = Interest::NONE;
-                if reading && slot.conn.wants_read(self.window) {
+                if reading && slot.conn.wants_read(DEFAULT_WINDOW) {
                     interest = interest | Interest::READABLE;
                 }
                 if slot.conn.wants_write() {
@@ -573,7 +571,7 @@ impl<'a> EventLoop<'a> {
                 let Some(slot) = self.clients.get_mut(index).and_then(Option::as_mut) else {
                     return;
                 };
-                if slot.conn.inflight() >= self.window {
+                if slot.conn.inflight() >= DEFAULT_WINDOW {
                     return;
                 }
                 let Some(frame) = slot.conn.decoder.next_frame() else {
@@ -1070,9 +1068,24 @@ mod tests {
     fn self_hosted_forwards_the_cache_cap_to_every_shard() {
         let plain = ServeConfig::self_hosted("127.0.0.1:0", 2, None).unwrap();
         assert_eq!(plain.shard_args, vec!["serve", "--internal-shard"]);
-        assert_eq!(plain.window, DEFAULT_WINDOW);
         let capped = ServeConfig::self_hosted("127.0.0.1:0", 2, Some(128)).unwrap();
         assert_eq!(capped.shard_args, vec!["serve", "--internal-shard", "--cache-cap", "128"]);
         assert_eq!(capped.shards, 2);
+    }
+
+    #[test]
+    fn bind_takes_the_address_before_spawning_any_worker() {
+        // The address is taken and the shard program does not exist: the
+        // bind must fail on the address, before any spawn is attempted.
+        let occupied = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = occupied.local_addr().unwrap().to_string();
+        let program = PathBuf::from("/nonexistent/chain2l-shard-worker");
+        let config = ServeConfig::new(&addr, 2, program, Vec::new());
+        let err = Server::bind(&config).err().expect("the address is taken");
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse, "{err}");
+        // On a free address the same config fails at the spawn instead.
+        let config = ServeConfig::new("127.0.0.1:0", 2, config.shard_program, Vec::new());
+        let err = Server::bind(&config).err().expect("the shard program is missing");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
     }
 }

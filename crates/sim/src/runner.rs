@@ -36,11 +36,6 @@ impl Default for MonteCarloConfig {
 }
 
 impl MonteCarloConfig {
-    /// `replications` replications on a single thread with the default seed.
-    pub fn with_replications(replications: usize) -> Self {
-        Self { replications, ..Self::default() }
-    }
-
     /// Sets the number of worker threads.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
