@@ -11,7 +11,7 @@
 //! * [`sweep`] — ablation sweeps (recall, cost ratio, error-rate scaling,
 //!   tail accounting, heuristics);
 //! * [`validation`] — Monte-Carlo validation of the analytical expectations;
-//! * [`markdown`] — Markdown rendering used by EXPERIMENTS.md;
+//! * [`markdown`] — the Markdown sensitivity report of `chain2l sensitivity`;
 //! * [`report`] — CSV / aligned-text rendering.
 //!
 //! The figure and sweep builders all solve through a caller-supplied

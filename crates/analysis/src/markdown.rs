@@ -1,91 +1,8 @@
-//! Markdown rendering of harness outputs.
-//!
-//! EXPERIMENTS.md and project reports embed the harness results as Markdown
-//! tables; this module renders [`crate::report::Table`]s and a few composite
-//! summaries in that format so the documentation can be regenerated from code
-//! instead of being edited by hand.
+//! Markdown rendering of the sensitivity report that `chain2l sensitivity`
+//! prints.
 
-use crate::figures::MakespanSeries;
-use crate::report::{fmt_f64, Table};
+use crate::report::fmt_f64;
 use chain2l_core::sensitivity::SensitivityReport;
-use chain2l_core::Algorithm;
-
-/// Renders a [`Table`] as a GitHub-flavoured Markdown table.
-pub fn table_to_markdown(table: &Table) -> String {
-    let mut out = String::new();
-    if !table.title().is_empty() {
-        out.push_str(&format!("### {}\n\n", table.title()));
-    }
-    out.push_str(&format!("| {} |\n", table.columns().join(" | ")));
-    out.push_str(&format!("|{}\n", table.columns().iter().map(|_| "---|").collect::<String>()));
-    for row in table_rows(table) {
-        out.push_str(&format!("| {} |\n", row.join(" | ")));
-    }
-    out
-}
-
-/// Extracts the rows of a table by round-tripping through its CSV rendering
-/// (keeps [`Table`]'s internals private while letting the Markdown renderer
-/// reuse them).
-fn table_rows(table: &Table) -> Vec<Vec<String>> {
-    table.to_csv().lines().skip(1).map(split_csv_line).collect()
-}
-
-/// Minimal CSV line splitter handling the quoting produced by `Table::to_csv`.
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut cells = Vec::new();
-    let mut current = String::new();
-    let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes && chars.peek() == Some(&'"') => {
-                current.push('"');
-                chars.next();
-            }
-            '"' => in_quotes = !in_quotes,
-            ',' if !in_quotes => {
-                cells.push(std::mem::take(&mut current));
-            }
-            other => current.push(other),
-        }
-    }
-    cells.push(current);
-    cells
-}
-
-/// Renders a makespan panel as a Markdown table with one gain column
-/// (`worse` vs `better`), the format used in EXPERIMENTS.md.
-pub fn makespan_series_to_markdown(
-    series: &MakespanSeries,
-    better: Algorithm,
-    worse: Algorithm,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "### {} / {} — normalized makespan\n\n",
-        series.platform, series.pattern
-    ));
-    out.push_str(&format!(
-        "| n | {} | {} | gain |\n|---|---|---|---|\n",
-        worse.label(),
-        better.label()
-    ));
-    for point in &series.points {
-        let (Some(w), Some(b)) = (point.value(worse), point.value(better)) else {
-            continue;
-        };
-        let gain = if w > 0.0 { (w - b) / w * 100.0 } else { 0.0 };
-        out.push_str(&format!(
-            "| {} | {} | {} | {} % |\n",
-            point.n,
-            fmt_f64(w, 5),
-            fmt_f64(b, 5),
-            fmt_f64(gain, 2)
-        ));
-    }
-    out
-}
 
 /// Renders a sensitivity report as a Markdown table sorted by influence.
 pub fn sensitivity_to_markdown(report: &SensitivityReport) -> String {
@@ -111,44 +28,9 @@ pub fn sensitivity_to_markdown(report: &SensitivityReport) -> String {
 mod tests {
     use super::*;
     use chain2l_core::sensitivity::analyze;
+    use chain2l_core::Algorithm;
     use chain2l_model::platform::scr;
     use chain2l_model::{Scenario, WeightPattern};
-
-    #[test]
-    fn table_to_markdown_has_header_separator_and_rows() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.push_row(vec!["1".into(), "2".into()]);
-        t.push_row(vec!["x,y".into(), "z".into()]);
-        let md = table_to_markdown(&t);
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines[0], "### demo");
-        assert_eq!(lines[2], "| a | b |");
-        assert_eq!(lines[3], "|---|---|");
-        assert_eq!(lines[4], "| 1 | 2 |");
-        assert_eq!(lines[5], "| x,y | z |");
-    }
-
-    #[test]
-    fn csv_line_splitting_handles_quotes() {
-        assert_eq!(split_csv_line("a,b,c"), vec!["a", "b", "c"]);
-        assert_eq!(split_csv_line("\"x,y\",z"), vec!["x,y", "z"]);
-        assert_eq!(split_csv_line("\"he said \"\"hi\"\"\",1"), vec!["he said \"hi\"", "1"]);
-    }
-
-    #[test]
-    fn makespan_series_markdown_includes_gain_column() {
-        use crate::figures::MakespanPoint;
-        let series = MakespanSeries {
-            platform: "Hera".into(),
-            pattern: "uniform".into(),
-            points: vec![MakespanPoint {
-                n: 50,
-                values: vec![(Algorithm::SingleLevel, 1.0635), (Algorithm::TwoLevel, 1.0449)],
-            }],
-        };
-        let md = makespan_series_to_markdown(&series, Algorithm::TwoLevel, Algorithm::SingleLevel);
-        assert!(md.contains("| 50 | 1.06350 | 1.04490 | 1.75 % |"));
-    }
 
     #[test]
     fn sensitivity_markdown_lists_all_parameters() {

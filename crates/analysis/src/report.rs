@@ -6,8 +6,6 @@
 //! implemented here rather than pulled from a formatting crate.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 
 /// A simple in-memory table: named columns plus rows of cells.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -25,11 +23,6 @@ impl Table {
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Table title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// Column headers.
@@ -55,11 +48,6 @@ impl Table {
             self.columns.len()
         );
         self.rows.push(cells);
-    }
-
-    /// Appends a row of displayable values.
-    pub fn push_display_row(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.push_row(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Renders the table as CSV (header line + one line per row).  Cells
@@ -109,11 +97,6 @@ impl Table {
             writeln!(out, "{}", cells.join("  ")).expect("writing to String cannot fail");
         }
         out
-    }
-
-    /// Writes the CSV rendering to a file.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        fs::write(path, self.to_csv())
     }
 }
 
@@ -182,27 +165,6 @@ mod tests {
     fn mismatched_row_width_panics() {
         let mut t = Table::new("", &["a", "b"]);
         t.push_row(vec!["only one".into()]);
-    }
-
-    #[test]
-    fn push_display_row_formats_values() {
-        let mut t = Table::new("", &["n", "value"]);
-        t.push_display_row(&[&42usize, &1.25f64]);
-        assert_eq!(t.row_count(), 1);
-        assert!(t.to_csv().contains("42,1.25"));
-    }
-
-    #[test]
-    fn write_csv_creates_the_file() {
-        let path = std::env::temp_dir().join(format!(
-            "chain2l-report-test-{}-{:?}.csv",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
-        sample_table().write_csv(&path).unwrap();
-        let content = fs::read_to_string(&path).unwrap();
-        assert!(content.contains("Hera"));
-        let _ = fs::remove_file(path);
     }
 
     #[test]

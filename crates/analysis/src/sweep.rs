@@ -22,6 +22,8 @@
 //! optional Monte-Carlo validation) derives its RNG seed deterministically
 //! from the cell's coordinates via [`cell_seed`] — output is therefore
 //! bit-identical across runs and independent of worker count.
+//! `chain2l sweep <name>` prints one of these tables; `chain2l sweep all`
+//! prints all five and the validated grid.
 
 //! Every sweep solves through a caller-supplied strategy-routing
 //! [`Engine`]: run several sweeps (or a sweep plus the figure panels)
@@ -167,7 +169,7 @@ pub struct GridRow {
 /// the whole artifact reproducible bit-for-bit across runs and thread
 /// counts.  The paper grid's cells are pairwise distinct, so within one grid
 /// each fingerprint is solved exactly once; sharing the engine with other
-/// sweeps or figure panels (as the `sweeps` binary does) additionally serves
+/// sweeps or figure panels (as `chain2l sweep all` does) additionally serves
 /// their repeated scenarios from it.  Output is byte-identical however the
 /// engine routes the solves.
 pub fn run_grid(spec: &GridSpec, engine: &Engine) -> Vec<GridRow> {

@@ -1,14 +1,15 @@
-//! Shared helpers of the `dp_report` and `sweeps` binaries of the
-//! `chain2l` reproduction.  The paper's figures and Table I are rendered by
-//! `chain2l experiment`.
+//! The result-file helpers of the `dp_report` binary of the `chain2l`
+//! reproduction.  The paper's figures and Table I are rendered by
+//! `chain2l experiment`, the ablation sweeps and the sweep grid by
+//! `chain2l sweep`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// Where the binaries write their result files (`results/` at the
+/// Where `dp_report` writes its result files (`results/` at the
 /// workspace root, overridable with the `CHAIN2L_RESULTS_DIR` environment
 /// variable).
 pub fn results_dir() -> PathBuf {
@@ -20,7 +21,7 @@ pub fn results_dir() -> PathBuf {
 
 /// Writes `content` to `<results_dir>/<name>`, creating the directory if
 /// needed, and returns the path.  Errors are reported but not fatal (the
-/// binaries also print everything to stdout).
+/// binary also prints everything to stdout).
 pub fn write_result_file(name: &str, content: &str) -> Option<PathBuf> {
     let dir = results_dir();
     if let Err(e) = fs::create_dir_all(&dir) {
@@ -37,11 +38,6 @@ pub fn write_result_file(name: &str, content: &str) -> Option<PathBuf> {
     }
 }
 
-/// Reads a previously written result file (used by tests).
-pub fn read_result_file(path: &Path) -> std::io::Result<String> {
-    fs::read_to_string(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,7 +51,7 @@ mod tests {
         ));
         std::env::set_var("CHAIN2L_RESULTS_DIR", &dir);
         let path = write_result_file("test.csv", "a,b\n1,2\n").expect("writable temp dir");
-        assert_eq!(read_result_file(&path).unwrap(), "a,b\n1,2\n");
+        assert_eq!(fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
         std::env::remove_var("CHAIN2L_RESULTS_DIR");
         let _ = fs::remove_dir_all(dir);
     }

@@ -1,10 +1,13 @@
 //! Hand-rolled command-line argument parsing.
 //!
 //! The CLI deliberately avoids an argument-parsing dependency; the grammar is
-//! small (`chain2l <command> [--key value]...`) and this module keeps it
-//! explicit and unit-testable.
+//! small (`chain2l <command> [name] [--flag | --key value]...`) and this
+//! module keeps it explicit and unit-testable.  Which options are flags comes
+//! from the option table in [`crate::commands`].
 
+use crate::commands::{option_value, Value};
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// A parsed command line: the sub-command name plus `--key value` options.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -15,6 +18,9 @@ pub struct ParsedArgs {
     pub positionals: Vec<String>,
     /// `--key value` and `--flag` options (flags map to an empty string).
     pub options: BTreeMap<String, String>,
+    /// `help`, `--help` or `-h` was given, as the command or anywhere
+    /// after it; nothing else was parsed.
+    pub help: bool,
 }
 
 /// Errors produced while parsing or interpreting the command line.
@@ -33,6 +39,11 @@ pub enum ArgError {
     },
     /// A required option is absent.
     MissingOption {
+        /// Option name (without the leading `--`).
+        option: String,
+    },
+    /// An option that takes a value is last, or followed by another option.
+    MissingValue {
         /// Option name (without the leading `--`).
         option: String,
     },
@@ -59,6 +70,7 @@ impl std::fmt::Display for ArgError {
                 write!(f, "invalid value `{value}` for --{option}: expected {expected}")
             }
             ArgError::MissingOption { option } => write!(f, "missing required option --{option}"),
+            ArgError::MissingValue { option } => write!(f, "option --{option} needs a value"),
             ArgError::Unknown { what } => {
                 write!(f, "unknown command or argument `{what}` (try `chain2l help`)")
             }
@@ -83,26 +95,38 @@ impl ArgError {
 }
 
 impl ParsedArgs {
-    /// Parses raw arguments (excluding the program name).
+    /// Parses raw arguments (excluding the program name).  A flag never
+    /// takes the next token; any other option must be followed by a value
+    /// that does not start with `--`.  An option no command takes is an
+    /// error here, before its kind would have to be guessed.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
-        let mut iter = args.into_iter().peekable();
+        let mut iter = args.into_iter();
         let command = iter.next().ok_or(ArgError::MissingCommand)?;
-        let mut positionals = Vec::new();
-        let mut options = BTreeMap::new();
-        while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                // A value follows unless the next token is another option or
-                // the argument list ends (then it is a boolean flag).
-                let value = match iter.peek() {
-                    Some(next) if !next.starts_with("--") => iter.next().unwrap_or_default(),
-                    _ => String::new(),
-                };
-                options.insert(key.to_string(), value);
-            } else {
-                positionals.push(arg);
-            }
+        let rest: Vec<String> = iter.collect();
+        let mut parsed = Self { command, ..Self::default() };
+        if matches!(parsed.command.as_str(), "help" | "--help" | "-h")
+            || rest.iter().any(|arg| arg == "--help" || arg == "-h")
+        {
+            parsed.help = true;
+            return Ok(parsed);
         }
-        Ok(Self { command, positionals, options })
+        let mut rest = rest.into_iter();
+        while let Some(arg) = rest.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                parsed.positionals.push(arg);
+                continue;
+            };
+            let value = match option_value(key) {
+                None => return Err(ArgError::Unknown { what: arg }),
+                Some(Value::Flag) => String::new(),
+                Some(_) => match rest.next() {
+                    Some(value) if !value.starts_with("--") => value,
+                    _ => return Err(ArgError::MissingValue { option: key.to_string() }),
+                },
+            };
+            parsed.options.insert(key.to_string(), value);
+        }
+        Ok(parsed)
     }
 
     /// String option with a default.
@@ -115,23 +139,11 @@ impl ParsedArgs {
         self.options.contains_key(key)
     }
 
-    /// Parses a `usize` option with a default.
-    pub fn usize_or(&self, key: &str, default: usize) -> Result<usize, ArgError> {
+    /// Parses an option's value, or `None` when the option is absent.
+    pub fn value<T: FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
         match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::InvalidValue {
-                option: key.to_string(),
-                value: v.clone(),
-                expected: "a non-negative integer".to_string(),
-            }),
-        }
-    }
-
-    /// Parses an `f64` option with a default.
-    pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::InvalidValue {
+            None => Ok(None),
+            Some(v) => v.parse().map(Some).map_err(|_| ArgError::InvalidValue {
                 option: key.to_string(),
                 value: v.clone(),
                 expected: "a number".to_string(),
@@ -139,16 +151,19 @@ impl ParsedArgs {
         }
     }
 
+    /// Parses a `usize` option with a default.
+    pub fn usize_or(&self, key: &str, default: usize) -> Result<usize, ArgError> {
+        Ok(self.value(key)?.unwrap_or(default))
+    }
+
+    /// Parses an `f64` option with a default.
+    pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, ArgError> {
+        Ok(self.value(key)?.unwrap_or(default))
+    }
+
     /// Parses a `u64` option with a default.
     pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::InvalidValue {
-                option: key.to_string(),
-                value: v.clone(),
-                expected: "a non-negative integer".to_string(),
-            }),
-        }
+        Ok(self.value(key)?.unwrap_or(default))
     }
 }
 
@@ -200,6 +215,32 @@ mod tests {
         let args = parse(&["simulate", "--csv", "--replications", "100"]).unwrap();
         assert!(args.flag("csv"));
         assert_eq!(args.usize_or("replications", 1).unwrap(), 100);
+    }
+
+    #[test]
+    fn flags_never_take_a_value_and_value_options_need_one() {
+        let args = parse(&["optimize", "--strips", "12"]).unwrap();
+        assert!(args.flag("strips"));
+        assert_eq!(args.positionals, vec!["12"]);
+        for (tokens, option) in [
+            (&["optimize", "--tasks"][..], "tasks"),
+            (&["optimize", "--tasks", "--strips"], "tasks"),
+            (&["batch", "--remote", "--file", "x.txt"], "remote"),
+            (&["batch", "--file"], "file"),
+            (&["serve", "--failpoints"], "failpoints"),
+        ] {
+            let missing = ArgError::MissingValue { option: option.into() };
+            assert_eq!(parse(tokens), Err(missing), "{tokens:?}");
+        }
+        assert_eq!(
+            parse(&["optimize", "--taks", "5"]),
+            Err(ArgError::Unknown { what: "--taks".into() })
+        );
+        // A negative number is a value, for the range check to reject.
+        assert_eq!(parse(&["optimize", "--weight", "-5"]).unwrap().options["weight"], "-5");
+        // Help wins over anything after the command.
+        assert!(parse(&["optimize", "--taks", "-h"]).unwrap().help);
+        assert!(parse(&["help"]).unwrap().help);
     }
 
     #[test]

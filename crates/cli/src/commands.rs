@@ -5,7 +5,7 @@
 
 use crate::args::{ArgError, ParsedArgs};
 use chain2l_analysis::experiments::{self, ExperimentConfig};
-use chain2l_analysis::sweep;
+use chain2l_analysis::sweep::{self, GridSpec};
 use chain2l_analysis::validation;
 use chain2l_core::cache::SolveRequest;
 use chain2l_core::evaluator::expected_makespan;
@@ -22,7 +22,8 @@ chain2l — two-level checkpointing and verifications for linear task graphs
 
 USAGE:
   chain2l <command> [options]     (`--help` after any command prints this text;
-                                  an option the command does not take is an error)
+                                  an option the command does not take, or a
+                                  value out of the option's range, is an error)
 
 COMMANDS:
   optimize                        run one of the optimizers on one scenario
@@ -31,8 +32,9 @@ COMMANDS:
   validate                        analytical-vs-simulation agreement table
   experiment fig5|fig6|fig7|fig8|table1
                                   regenerate a paper figure or table
-  sweep recall|cost|rates|tail|heuristics
-                                  run an ablation sweep
+  sweep recall|cost|rates|tail|heuristics|all
+                                  run an ablation sweep (all: every sweep, then
+                                  the Monte-Carlo-validated sweep grid)
   batch                           solve a scenario list in one engine batch call
                                   (or on a remote daemon with --remote)
   serve                           run the long-lived solver daemon (or query it
@@ -79,9 +81,6 @@ BATCH:
                                   reconnects (default: 300)
   --retry-seed <n>                (--remote) seed of the deterministic retry
                                   backoff jitter (default: 0)
-  --no-simd                       force the original scalar candidate scans
-                                  (A/B escape hatch; results are bit-identical
-                                  either way, see also CHAIN2L_NO_SIMD)
 
 SERVE:
   --addr <host:port>              listen address (default: 127.0.0.1:4615)
@@ -134,46 +133,157 @@ SENSITIVITY:
   --step <fraction>               relative perturbation (default: 0.05)
 
 EXPERIMENT:
-  --quick | --coarse | --paper    sweep granularity (default: --coarse)
+  --quick | --coarse | --paper    fig5, fig7 and fig8 granularity (default: --coarse)
   --tasks <n>                     strip size for fig6 (default: 50)
   --weight <seconds>              total weight for fig6 (default: 25000)
   --csv                           table1 and fig5 as CSV
+
+SWEEP:
+  --platform <name>               platform of recall, cost, rates and heuristics
+                                  (default: hera; tail runs every platform)
+  --tasks <n>                     (default: 20; all: 30)
+  --weight <seconds>              (default: 25000; not for all)
+  --seed <n>                      (all) base seed of the grid cells' Monte-Carlo
+                                  streams (default: 24301)
+  --validate <n>                  (all) Monte-Carlo replications per grid cell
+                                  (default: 400; 0 skips the validation)
+  --csv                           print CSV instead of aligned text
 ";
 
-/// The positionals and options each command takes (options without the
-/// leading `--`, space separated).  [`run`] rejects an option outside its
-/// command's row, or a positional beyond its count, as a usage error, so a
-/// misspelt option never falls back to its default in silence.  Only the
-/// daemon sets `serve`'s last three options, on the workers it spawns.
-const COMMANDS: &[(&str, usize, &str)] = &[
-    ("optimize", 0, "platform pattern tasks weight algorithm strips"),
-    ("evaluate", 0, "platform pattern tasks weight schedule"),
-    ("simulate", 0, "platform pattern tasks weight algorithm replications seed threads histogram"),
-    ("validate", 0, "pattern tasks weight replications seed threads csv"),
-    ("experiment", 1, "quick coarse paper tasks weight csv"),
-    ("sweep", 1, "platform tasks weight csv"),
-    ("batch", 0, "file remote retries request-timeout retry-seed no-simd"),
-    (
-        "serve",
-        0,
-        "addr shards cache-cap state-dir snapshot-every max-inflight failpoints stats stop \
-         health internal-shard shard-index shard-count",
-    ),
-    (
-        "bench-load",
-        0,
-        "addr shards connections requests window failpoints max-inflight check print-baseline",
-    ),
-    ("solve", 0, "platform algorithm series per-task-weight"),
-    ("sensitivity", 0, "platform pattern tasks weight algorithm step"),
+/// What an option accepts.  [`ParsedArgs::parse`] reads the kind — a flag
+/// never takes the next token, every other option must be followed by a
+/// value — and [`run`] checks the value's range before anything runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Value {
+    /// A flag: no value.
+    Flag,
+    /// Any token; the command checks it (a name, an address, a path, a
+    /// failpoint spec, a series or a schedule).
+    Text,
+    /// An integer of at least the bound.
+    Int(u64),
+    /// A finite number of seconds, at least 0.
+    Seconds,
+    /// A finite number of seconds, above 0.
+    PositiveSeconds,
+    /// A fraction strictly between 0 and 1.
+    Fraction,
+}
+
+use Value::{Flag, Fraction, Int, PositiveSeconds, Seconds, Text};
+
+/// The commands of [`run`], each with the names its one positional takes
+/// (none: the command takes no positional).
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("optimize", &[]),
+    ("evaluate", &[]),
+    ("simulate", &[]),
+    ("validate", &[]),
+    ("experiment", &["table1", "fig5", "fig6", "fig7", "fig8"]),
+    ("sweep", &["recall", "cost", "rates", "tail", "heuristics", "all"]),
+    ("batch", &[]),
+    ("serve", &[]),
+    ("bench-load", &[]),
+    ("solve", &[]),
+    ("sensitivity", &[]),
 ];
+
+/// Every option of the command line, once: its name (without the leading
+/// `--`), what it accepts, and the commands that take it — for `experiment`
+/// and `sweep`, the names that take it.  Only the daemon passes the three
+/// `serve` options `internal-shard`, `shard-index` and `shard-count`, to the
+/// workers it spawns.
+const OPTIONS: &[(&str, Value, &str)] = &[
+    ("platform", Text, "optimize evaluate simulate solve sensitivity recall cost rates heuristics"),
+    ("pattern", Text, "optimize evaluate simulate validate sensitivity"),
+    (
+        "tasks",
+        Int(1),
+        "optimize evaluate simulate validate sensitivity fig6 recall cost rates tail heuristics all",
+    ),
+    (
+        "weight",
+        Seconds,
+        "optimize evaluate simulate validate sensitivity fig6 recall cost rates tail heuristics",
+    ),
+    ("algorithm", Text, "optimize simulate solve sensitivity"),
+    ("csv", Flag, "validate table1 fig5 recall cost rates tail heuristics all"),
+    ("strips", Flag, "optimize"),
+    ("schedule", Text, "evaluate"),
+    ("replications", Int(1), "simulate validate"),
+    ("seed", Int(0), "simulate validate all"),
+    ("threads", Int(0), "simulate validate"),
+    ("histogram", Flag, "simulate"),
+    ("quick", Flag, "fig5 fig7 fig8"),
+    ("coarse", Flag, "fig5 fig7 fig8"),
+    ("paper", Flag, "fig5 fig7 fig8"),
+    ("validate", Int(0), "all"),
+    ("file", Text, "batch"),
+    ("remote", Text, "batch"),
+    ("retries", Int(0), "batch"),
+    ("request-timeout", Int(1), "batch"),
+    ("retry-seed", Int(0), "batch"),
+    ("addr", Text, "serve bench-load"),
+    ("shards", Int(1), "serve bench-load"),
+    ("cache-cap", Int(1), "serve"),
+    ("state-dir", Text, "serve"),
+    ("snapshot-every", Int(1), "serve"),
+    ("max-inflight", Int(1), "serve bench-load"),
+    ("failpoints", Text, "serve bench-load"),
+    ("stats", Flag, "serve"),
+    ("stop", Flag, "serve"),
+    ("health", Flag, "serve"),
+    ("internal-shard", Flag, "serve"),
+    ("shard-index", Int(0), "serve"),
+    ("shard-count", Int(1), "serve"),
+    ("connections", Int(1), "bench-load"),
+    ("requests", Int(1), "bench-load"),
+    ("window", Int(1), "bench-load"),
+    ("check", Text, "bench-load"),
+    ("print-baseline", Flag, "bench-load"),
+    ("series", Text, "solve"),
+    ("per-task-weight", PositiveSeconds, "solve"),
+    ("step", Fraction, "sensitivity"),
+];
+
+/// What the option `key` accepts, or `None` if no command takes it.
+pub fn option_value(key: &str) -> Option<Value> {
+    OPTIONS.iter().find(|(name, ..)| *name == key).map(|&(_, value, _)| value)
+}
+
+impl Value {
+    /// Checks the value `raw` of the option `key` against this range.
+    fn check(self, key: &str, raw: &str) -> Result<(), ArgError> {
+        let seconds = || raw.parse::<f64>().ok().filter(|v| v.is_finite());
+        let (ok, expected) = match self {
+            Flag | Text => return Ok(()),
+            Int(min) => (
+                raw.parse::<u64>().is_ok_and(|v| v >= min),
+                format!("an integer of at least {min}"),
+            ),
+            Seconds => (
+                seconds().is_some_and(|v| v >= 0.0),
+                "a finite number of seconds, at least 0".into(),
+            ),
+            PositiveSeconds => {
+                (seconds().is_some_and(|v| v > 0.0), "a finite number of seconds, above 0".into())
+            }
+            Fraction => (
+                seconds().is_some_and(|v| v > 0.0 && v < 1.0),
+                "a fraction strictly between 0 and 1".into(),
+            ),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(ArgError::InvalidValue { option: key.into(), value: raw.into(), expected })
+        }
+    }
+}
 
 /// Runs the command described by `args` and returns the text to print.
 pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
-    if matches!(args.command.as_str(), "help" | "--help" | "-h")
-        || args.flag("help")
-        || args.positionals.iter().any(|p| p == "-h")
-    {
+    if args.help {
         return Ok(HELP.to_string());
     }
     check_arguments(args)?;
@@ -193,20 +303,35 @@ pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
     }
 }
 
-/// Checks `args` against its command's row of [`COMMANDS`].
+/// Checks `args` against [`COMMANDS`] and [`OPTIONS`]: a known command and
+/// name, no positional left over, and every option in the row of the
+/// command (or of the name) and in its range.  So a misspelt option never
+/// falls back to its default in silence, and nothing runs on a bad value.
 fn check_arguments(args: &ParsedArgs) -> Result<(), ArgError> {
-    let unknown = |what: String| Err(ArgError::Unknown { what });
-    let Some((_, positionals, options)) = COMMANDS.iter().find(|(name, ..)| *name == args.command)
-    else {
-        return unknown(args.command.clone());
+    let unknown = |what: &str| ArgError::Unknown { what: what.to_string() };
+    let (command, names) = COMMANDS
+        .iter()
+        .find(|(command, _)| *command == args.command)
+        .ok_or_else(|| unknown(&args.command))?;
+    let (row, rest) = match args.positionals.split_first() {
+        _ if names.is_empty() => (*command, &args.positionals[..]),
+        None => return Err(ArgError::MissingOption { option: format!("{command} name") }),
+        Some((name, rest)) => {
+            (*names.iter().find(|n| *n == name).ok_or_else(|| unknown(name))?, rest)
+        }
     };
-    if let Some(extra) = args.positionals.get(*positionals) {
-        return unknown(extra.clone());
+    if let Some(extra) = rest.first() {
+        return Err(unknown(extra));
     }
-    match args.options.keys().find(|key| !options.split_whitespace().any(|o| o == *key)) {
-        Some(key) => unknown(format!("--{key}")),
-        None => Ok(()),
+    for (key, raw) in &args.options {
+        match OPTIONS.iter().find(|(name, ..)| name == key) {
+            Some((_, value, rows)) if rows.split_whitespace().any(|r| r == row) => {
+                value.check(key, raw)?
+            }
+            _ => return Err(unknown(&format!("--{key}"))),
+        }
     }
+    Ok(())
 }
 
 fn render_table(table: &chain2l_analysis::Table, args: &ParsedArgs) -> String {
@@ -226,20 +351,9 @@ fn parse_platform(args: &ParsedArgs) -> Result<Platform, ArgError> {
     })
 }
 
-/// Looks a weight pattern up by its CLI name.
-fn pattern_by_name(name: &str) -> Option<WeightPattern> {
-    match name {
-        "uniform" => Some(WeightPattern::Uniform),
-        "decrease" => Some(WeightPattern::Decrease),
-        "increase" => Some(WeightPattern::Increase),
-        "highlow" => Some(WeightPattern::high_low_default()),
-        _ => None,
-    }
-}
-
 fn parse_pattern(args: &ParsedArgs) -> Result<WeightPattern, ArgError> {
     let name = args.get_or("pattern", "uniform");
-    pattern_by_name(name).ok_or_else(|| ArgError::InvalidValue {
+    WeightPattern::by_name(name).ok_or_else(|| ArgError::InvalidValue {
         option: "pattern".into(),
         value: name.to_string(),
         expected: "uniform, decrease, increase or highlow".into(),
@@ -260,17 +374,19 @@ fn parse_scenario(args: &ParsedArgs) -> Result<Scenario, ArgError> {
     let pattern = parse_pattern(args)?;
     let tasks = args.usize_or("tasks", 50)?;
     let weight = args.f64_or("weight", experiments::PAPER_TOTAL_WEIGHT)?;
-    Scenario::paper_setup(&platform, &pattern, tasks, weight).map_err(|e| ArgError::InvalidValue {
-        option: "tasks".into(),
-        value: format!("{tasks}"),
-        expected: leak(format!("a valid scenario ({e})")),
-    })
+    paper_scenario(&platform, &pattern, tasks, weight)
 }
 
-/// `ArgError` carries `&'static str` expectations only in `InvalidValue`'s
-/// `expected: String`; this helper keeps dynamic messages simple.
-fn leak(message: String) -> String {
-    message
+/// The paper-setup scenario of `--tasks` and `--weight`.  [`run`] has
+/// range-checked both options, so a failure here is not a usage error.
+fn paper_scenario(
+    platform: &Platform,
+    pattern: &WeightPattern,
+    tasks: usize,
+    weight: f64,
+) -> Result<Scenario, ArgError> {
+    Scenario::paper_setup(platform, pattern, tasks, weight)
+        .map_err(|e| ArgError::runtime("building the scenario", e))
 }
 
 fn cmd_optimize(args: &ParsedArgs) -> Result<String, ArgError> {
@@ -313,7 +429,7 @@ pub fn parse_schedule_string(spec: &str) -> Result<Schedule, ArgError> {
     Schedule::parse_compact(spec).map_err(|e| ArgError::InvalidValue {
         option: "schedule".into(),
         value: spec.to_string(),
-        expected: leak(e.to_string()),
+        expected: e.to_string(),
     })
 }
 
@@ -329,7 +445,7 @@ fn cmd_evaluate(args: &ParsedArgs) -> Result<String, ArgError> {
             ArgError::InvalidValue {
                 option: "schedule".into(),
                 value: spec.clone(),
-                expected: leak(e.to_string()),
+                expected: e.to_string(),
             }
         })?;
     Ok(format!(
@@ -354,7 +470,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, ArgError> {
         ArgError::InvalidValue {
             option: "replications".into(),
             value: format!("{}", config.replications),
-            expected: leak(e.to_string()),
+            expected: e.to_string(),
         }
     })?;
     let mut out = format!(
@@ -378,9 +494,9 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, ArgError> {
     if args.flag("histogram") {
         let convergence = chain2l_sim::convergence::ConvergenceConfig {
             target_relative_half_width: 1e-4,
-            batch_size: config.replications.max(1),
-            max_replications: config.replications.max(1),
-            min_replications: config.replications.max(1),
+            batch_size: config.replications,
+            max_replications: config.replications,
+            min_replications: config.replications,
             seed: config.seed,
         };
         let dist = chain2l_sim::convergence::run_until_converged(
@@ -391,7 +507,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, ArgError> {
         .map_err(|e| ArgError::InvalidValue {
             option: "histogram".into(),
             value: String::new(),
-            expected: leak(e.to_string()),
+            expected: e.to_string(),
         })?
         .distribution;
         out.push_str(&format!(
@@ -407,17 +523,8 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, ArgError> {
 }
 
 fn cmd_batch(args: &ParsedArgs) -> Result<String, ArgError> {
-    if args.flag("no-simd") {
-        // The scalar escape hatch only reaches the local engine; a remote
-        // daemon keeps its own setting.
-        chain2l_core::set_simd_enabled(false);
-    }
-    let remote = match args.options.get("remote").map(String::as_str) {
-        Some("") => return Err(ArgError::MissingOption { option: "remote <host:port>".into() }),
-        remote => remote.map(str::to_string),
-    };
     let input = match args.options.get("file").map(String::as_str) {
-        None | Some("") | Some("-") => {
+        None | Some("-") => {
             use std::io::Read;
             let mut buf = String::new();
             std::io::stdin()
@@ -428,7 +535,7 @@ fn cmd_batch(args: &ParsedArgs) -> Result<String, ArgError> {
         Some(path) => std::fs::read_to_string(path)
             .map_err(|e| ArgError::runtime(&format!("reading {path}"), e))?,
     };
-    match remote.as_deref() {
+    match args.options.get("remote") {
         Some(addr) => run_batch_remote(&input, addr, &remote_client_config(args)?),
         None => {
             let engine = Engine::new();
@@ -478,7 +585,7 @@ fn parse_batch(input: &str) -> Result<Vec<BatchItem>, ArgError> {
         }
         let platform = scr::by_name(fields[0])
             .ok_or_else(|| bad(format!("a known platform, not `{}`", fields[0])))?;
-        let pattern = pattern_by_name(fields[1])
+        let pattern = WeightPattern::by_name(fields[1])
             .ok_or_else(|| bad(format!("a known pattern, not `{}`", fields[1])))?;
         let n: usize =
             fields[2].parse().map_err(|_| bad(format!("a task count, not `{}`", fields[2])))?;
@@ -571,15 +678,7 @@ pub fn run_batch(input: &str, engine: &Engine) -> Result<String, ArgError> {
 fn remote_client_config(args: &ParsedArgs) -> Result<chain2l_service::ClientConfig, ArgError> {
     let mut config = chain2l_service::ClientConfig::default();
     config.max_retries = args.u64_or("retries", u64::from(config.max_retries))? as u32;
-    if args.options.contains_key("request-timeout") {
-        let secs = args.u64_or("request-timeout", 0)?;
-        if secs == 0 {
-            return Err(ArgError::InvalidValue {
-                option: "request-timeout".into(),
-                value: "0".into(),
-                expected: "a positive per-request deadline in seconds".into(),
-            });
-        }
+    if let Some(secs) = args.value("request-timeout")? {
         config.request_timeout = std::time::Duration::from_secs(secs);
     }
     config.retry_seed = args.u64_or("retry-seed", config.retry_seed)?;
@@ -640,36 +739,8 @@ pub fn run_batch_remote(
 /// operations, or one shard worker when re-executed with
 /// `--internal-shard`).
 fn cmd_serve(args: &ParsedArgs) -> Result<String, ArgError> {
-    let cache_cap = match args.options.get("cache-cap") {
-        None => None,
-        Some(_) => {
-            let cap = args.usize_or("cache-cap", 0)?;
-            if cap == 0 {
-                return Err(ArgError::InvalidValue {
-                    option: "cache-cap".into(),
-                    value: "0".into(),
-                    expected: "a positive entry cap (omit the option for unbounded)".into(),
-                });
-            }
-            Some(cap)
-        }
-    };
-    let snapshot_every = match args.options.get("snapshot-every") {
-        None => None,
-        Some(_) => {
-            let secs = args.u64_or("snapshot-every", 0)?;
-            if secs == 0 {
-                return Err(ArgError::InvalidValue {
-                    option: "snapshot-every".into(),
-                    value: "0".into(),
-                    expected: "a positive number of seconds between snapshots \
-                               (omit the option for the default)"
-                        .into(),
-                });
-            }
-            Some(secs)
-        }
-    };
+    let cache_cap = args.value("cache-cap")?;
+    let snapshot_every = args.value("snapshot-every")?;
     if args.flag("internal-shard") {
         let limits = cache_cap.map(EngineLimits::entry_cap).unwrap_or_default();
         // Persistence flags are appended by the parent daemon's spawner;
@@ -717,28 +788,6 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, ArgError> {
             Some(dir)
         }
     };
-    let max_inflight = match args.options.get("max-inflight") {
-        None => 0, // admission control disabled
-        Some(_) => {
-            let cap = args.u64_or("max-inflight", 0)?;
-            if cap == 0 {
-                return Err(ArgError::InvalidValue {
-                    option: "max-inflight".into(),
-                    value: "0".into(),
-                    expected: "a positive global inflight cap \
-                               (omit the option to disable shedding)"
-                        .into(),
-                });
-            }
-            cap
-        }
-    };
-    let failpoints = match args.options.get("failpoints").map(String::as_str) {
-        Some("") => {
-            return Err(ArgError::MissingOption { option: "failpoints <site=action;...>".into() })
-        }
-        spec => spec.map(str::to_string),
-    };
     let addr = args.get_or("addr", "127.0.0.1:4615");
     if args.flag("stop") {
         client::shutdown(addr)
@@ -775,18 +824,12 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, ArgError> {
         return Ok(out);
     }
     let shards = args.usize_or("shards", 2)?;
-    if shards == 0 {
-        return Err(ArgError::InvalidValue {
-            option: "shards".into(),
-            value: "0".into(),
-            expected: "at least one shard worker".into(),
-        });
-    }
     let mut config = ServeConfig::self_hosted(addr, shards, cache_cap)
         .map_err(|e| ArgError::runtime("resolving the shard worker command", e))?;
     config.state_dir = state_dir;
-    config.max_inflight = max_inflight;
-    config.failpoints = failpoints;
+    // Without --max-inflight, 0: admission control disabled.
+    config.max_inflight = args.u64_or("max-inflight", 0)?;
+    config.failpoints = args.options.get("failpoints").cloned();
     if let Some(secs) = snapshot_every {
         config.snapshot_every_secs = secs;
     }
@@ -867,10 +910,10 @@ fn spawn_bench_daemon(
 /// `results/BENCH_serve.json`, and optionally gating against a recorded
 /// baseline with `--check` (exit 1 on regression).
 fn cmd_load_bench(args: &ParsedArgs) -> Result<String, ArgError> {
-    let connections = args.usize_or("connections", 500)?.max(1);
-    let requests = args.usize_or("requests", 20)?.max(1);
-    let window = args.usize_or("window", 8)?.max(1);
-    let shards = args.usize_or("shards", 2)?.max(1);
+    let connections = args.usize_or("connections", 500)?;
+    let requests = args.usize_or("requests", 20)?;
+    let window = args.usize_or("window", 8)?;
+    let shards = args.usize_or("shards", 2)?;
 
     // Passed through to the spawned daemon: a failpoint schedule and the
     // admission-control cap.
@@ -983,13 +1026,6 @@ fn cmd_solve(args: &ParsedArgs) -> Result<String, ArgError> {
     let platform = parse_platform(args)?;
     let algorithm = parse_algorithm(args)?;
     let per_task_weight = args.f64_or("per-task-weight", 500.0)?;
-    if !(per_task_weight.is_finite() && per_task_weight > 0.0) {
-        return Err(ArgError::InvalidValue {
-            option: "per-task-weight".into(),
-            value: per_task_weight.to_string(),
-            expected: "a positive weight in seconds".into(),
-        });
-    }
     let series_spec = args.get_or("series", "10,20,30,40,50");
     let mut series: Vec<usize> = Vec::new();
     for part in series_spec.split(',') {
@@ -1043,13 +1079,6 @@ fn cmd_sensitivity(args: &ParsedArgs) -> Result<String, ArgError> {
     let scenario = parse_scenario(args)?;
     let algorithm = parse_algorithm(args)?;
     let step = args.f64_or("step", 0.05)?;
-    if !(step > 0.0 && step < 1.0) {
-        return Err(ArgError::InvalidValue {
-            option: "step".into(),
-            value: step.to_string(),
-            expected: "a fraction strictly between 0 and 1".into(),
-        });
-    }
     let report = chain2l_core::sensitivity::analyze(&scenario, algorithm, step);
     Ok(chain2l_analysis::markdown::sensitivity_to_markdown(&report))
 }
@@ -1063,13 +1092,7 @@ fn cmd_validate(args: &ParsedArgs) -> Result<String, ArgError> {
     let pattern = parse_pattern(args)?;
     let mut rows = Vec::new();
     for platform in scr::all() {
-        let scenario = Scenario::paper_setup(&platform, &pattern, tasks, weight).map_err(|e| {
-            ArgError::InvalidValue {
-                option: "tasks".into(),
-                value: format!("{tasks}"),
-                expected: leak(format!("a valid scenario ({e})")),
-            }
-        })?;
+        let scenario = paper_scenario(&platform, &pattern, tasks, weight)?;
         for algorithm in [Algorithm::SingleLevel, Algorithm::TwoLevel, Algorithm::TwoLevelPartial] {
             rows.push(validation::validate(&scenario, algorithm, replications, seed, threads));
         }
@@ -1091,11 +1114,7 @@ fn experiment_config(args: &ParsedArgs) -> ExperimentConfig {
 /// of a figure share one engine, so each distinct cell is solved once; the
 /// engine statistics on stderr show it.
 fn cmd_experiment(args: &ParsedArgs) -> Result<String, ArgError> {
-    let which = args
-        .positionals
-        .first()
-        .map(|s| s.as_str())
-        .ok_or(ArgError::MissingOption { option: "experiment name".into() })?;
+    let which = args.positionals.first().map_or("", String::as_str);
     if which == "table1" {
         return Ok(render_table(&experiments::table1(), args));
     }
@@ -1124,40 +1143,80 @@ fn cmd_experiment(args: &ParsedArgs) -> Result<String, ArgError> {
     Ok(out)
 }
 
+/// `chain2l sweep`: one ablation table, or `all` of them plus the validated
+/// sweep grid, on one engine.
 fn cmd_sweep(args: &ParsedArgs) -> Result<String, ArgError> {
-    let which = args
-        .positionals
-        .first()
-        .map(|s| s.as_str())
-        .ok_or(ArgError::MissingOption { option: "sweep name".into() })?;
-    let platform = parse_platform(args)?;
-    let tasks = args.usize_or("tasks", 20)?;
-    let weight = args.f64_or("weight", experiments::PAPER_TOTAL_WEIGHT)?;
+    let which = args.positionals.first().map_or("", String::as_str);
     let engine = Engine::new();
-    let table = match which {
-        "recall" => {
-            sweep::recall_sweep(&platform, tasks, weight, &[0.2, 0.4, 0.6, 0.8, 1.0], &engine)
-        }
-        "cost" => sweep::partial_cost_sweep(
-            &platform,
-            tasks,
-            weight,
-            &[1.0, 10.0, 100.0, 1000.0],
-            &engine,
-        ),
-        "rates" => sweep::rate_scaling_sweep(
-            &platform,
-            tasks,
-            weight,
-            &[1.0, 2.0, 5.0, 10.0, 50.0],
-            &engine,
-        ),
-        "tail" => sweep::tail_accounting_comparison(&scr::all(), tasks, weight, &engine),
-        "heuristics" => sweep::heuristic_comparison(&platform, tasks, weight, &engine),
-        other => return Err(ArgError::Unknown { what: other.to_string() }),
+    let out = if which == "all" {
+        sweep_all(args, &engine)?
+    } else {
+        let platform = parse_platform(args)?;
+        let tasks = args.usize_or("tasks", 20)?;
+        let weight = args.f64_or("weight", experiments::PAPER_TOTAL_WEIGHT)?;
+        render_table(&sweep_table(which, &platform, tasks, weight, &engine)?, args)
     };
     eprintln!("sweep: solver engine — {}", engine.stats());
-    Ok(render_table(&table, args))
+    Ok(out)
+}
+
+/// The ablation table `which` on `platform` (`tail` runs every platform).
+fn sweep_table(
+    which: &str,
+    platform: &Platform,
+    tasks: usize,
+    weight: f64,
+    engine: &Engine,
+) -> Result<chain2l_analysis::Table, ArgError> {
+    Ok(match which {
+        "recall" => {
+            sweep::recall_sweep(platform, tasks, weight, &[0.2, 0.4, 0.6, 0.8, 1.0], engine)
+        }
+        "cost" => {
+            sweep::partial_cost_sweep(platform, tasks, weight, &[1.0, 10.0, 100.0, 1000.0], engine)
+        }
+        "rates" => {
+            sweep::rate_scaling_sweep(platform, tasks, weight, &[1.0, 2.0, 5.0, 10.0, 50.0], engine)
+        }
+        "tail" => sweep::tail_accounting_comparison(&scr::all(), tasks, weight, engine),
+        "heuristics" => sweep::heuristic_comparison(platform, tasks, weight, engine),
+        other => return Err(ArgError::Unknown { what: other.to_string() }),
+    })
+}
+
+/// `chain2l sweep all`: the five ablation tables at the paper's total
+/// weight (recall and cost on Coastal SSD, rates and heuristics on Hera),
+/// then the `platform × pattern × n × T` grid with every cell validated by
+/// a seeded Monte-Carlo run, each table followed by a blank line.  Every
+/// cell derives its RNG stream from `--seed` and its own coordinates, so
+/// the output is byte-identical across runs and `RAYON_NUM_THREADS`.
+fn sweep_all(args: &ParsedArgs, engine: &Engine) -> Result<String, ArgError> {
+    let tasks = args.usize_or("tasks", 30)?;
+    let seed = args.u64_or("seed", 0x5eed)?;
+    let validate = args.usize_or("validate", 400)?;
+    eprintln!(
+        "sweep all: n = {tasks} tasks, base seed {seed:#x}, {validate} validation replications"
+    );
+    let (coastal_ssd, hera) = (scr::coastal_ssd(), scr::hera());
+    let mut tables = Vec::new();
+    for (which, platform) in [
+        ("recall", &coastal_ssd),
+        ("cost", &coastal_ssd),
+        ("rates", &hera),
+        ("tail", &hera),
+        ("heuristics", &hera),
+    ] {
+        tables.push(sweep_table(which, platform, tasks, experiments::PAPER_TOTAL_WEIGHT, engine)?);
+    }
+    // Every Table I platform, the three paper patterns, W = 25 000 s and a
+    // short n-ladder up to --tasks (small values collapse rungs).
+    let mut ladder: Vec<usize> =
+        [tasks / 4, tasks / 2, 3 * tasks / 4, tasks].into_iter().filter(|&n| n > 0).collect();
+    ladder.dedup();
+    let spec = GridSpec { validation_replications: validate, ..GridSpec::paper(ladder, seed) };
+    eprintln!("sweep all: running {} grid cells…", spec.cell_count());
+    tables.push(sweep::grid_table(&sweep::run_grid(&spec, engine)));
+    Ok(tables.iter().map(|table| render_table(table, args) + "\n").collect())
 }
 
 #[cfg(test)]
@@ -1167,6 +1226,10 @@ mod tests {
     fn run_tokens(tokens: &[&str]) -> Result<String, ArgError> {
         let args = ParsedArgs::parse(tokens.iter().map(|s| s.to_string()))?;
         run(&args)
+    }
+
+    fn run_line(line: &str) -> Result<String, ArgError> {
+        run_tokens(&line.split_whitespace().collect::<Vec<_>>())
     }
 
     #[test]
@@ -1504,6 +1567,18 @@ hera uniform 8
             (&["optimize", "--csv"], "--csv"),
             (&["experiment", "fig6", "50"], "50"),
             (&["platforms"], "platforms"),
+            // A flag never takes the next token: it is a stray positional.
+            (&["optimize", "--strips", "12", "--tasks", "5"], "12"),
+            (&["serve", "--stop", "1", "--addr", "127.0.0.1:1"], "1"),
+            // An option outside the row of the experiment or sweep name.
+            (&["experiment", "fig7", "--quick", "--csv"], "--csv"),
+            (&["experiment", "fig6", "--paper", "--tasks", "6"], "--paper"),
+            (&["experiment", "table1", "--quick"], "--quick"),
+            (&["sweep", "tail", "--platform", "hera"], "--platform"),
+            (&["sweep", "all", "--weight", "5"], "--weight"),
+            (&["sweep", "recall", "--seed", "1"], "--seed"),
+            (&["sweep", "all", "--taks", "6"], "--taks"),
+            (&["batch", "--no-simd"], "--no-simd"),
         ] {
             let err = run_tokens(tokens).unwrap_err();
             assert!(err.is_usage(), "{tokens:?}");
@@ -1525,7 +1600,10 @@ hera uniform 8
             "serve --stats --health --stop --addr a",
             "bench-load --connections 500 --requests 10 --check b.json",
             "bench-load --print-baseline --window 8 --shards 2",
-            "batch --file f --remote a --retries 4 --retry-seed 1 --request-timeout 300 --no-simd",
+            "batch --file f --remote a --retries 4 --retry-seed 1 --request-timeout 300",
+            // perfbench's snapshot interval and the CI sweep determinism step.
+            "serve --addr a --shards 1 --state-dir d --snapshot-every 86400",
+            "sweep all --tasks 12 --seed 7 --validate 100",
         ] {
             let args = ParsedArgs::parse(line.split_whitespace().map(str::to_string)).unwrap();
             assert_eq!(check_arguments(&args), Ok(()), "{line}");
@@ -1540,6 +1618,9 @@ hera uniform 8
             &["experiment", "--help"],
             &["optimize", "-h"],
             &["--help"],
+            // Help wins over what follows it: no sweep runs, nothing is written.
+            &["sweep", "all", "--help", "--tasks", "6", "--validate", "10"],
+            &["optimize", "--taks", "12", "--help"],
         ] {
             assert_eq!(run_tokens(tokens).unwrap(), HELP, "{tokens:?}");
         }
@@ -1605,6 +1686,105 @@ hera uniform 8
         let err = ArgError::runtime("reading scenarios.txt", "permission denied");
         assert_eq!(err.to_string(), "reading scenarios.txt: permission denied");
         assert!(!err.is_usage());
+    }
+
+    #[test]
+    fn an_experiment_name_may_follow_its_flags() {
+        assert_eq!(
+            run_tokens(&["experiment", "--quick", "fig5"]).unwrap(),
+            run_tokens(&["experiment", "fig5", "--quick"]).unwrap()
+        );
+    }
+
+    #[test]
+    fn out_of_range_values_are_usage_errors_naming_their_option() {
+        // Each of these once panicked, ran with a clamped value, or blamed
+        // `--tasks` for a bad `--weight`.
+        for (line, option) in [
+            ("validate --replications 0 --tasks 3", "replications"),
+            ("sweep recall --tasks 0", "tasks"),
+            ("sweep tail --tasks 0", "tasks"),
+            ("sweep all --tasks abc", "tasks"),
+            ("experiment fig6 --tasks 0", "tasks"),
+            ("experiment fig6 --weight -5", "weight"),
+            ("experiment fig6 --weight nan", "weight"),
+            ("validate --weight -1", "weight"),
+            ("simulate --tasks 3 --weight inf", "weight"),
+            ("bench-load --connections 0", "connections"),
+            ("bench-load --requests 0", "requests"),
+            ("bench-load --window 0", "window"),
+            ("bench-load --shards 0", "shards"),
+            ("serve --max-inflight 0", "max-inflight"),
+            ("serve --internal-shard --shard-count 0", "shard-count"),
+            ("batch --request-timeout 0", "request-timeout"),
+            ("solve --per-task-weight 0", "per-task-weight"),
+            ("sensitivity --step 1", "step"),
+            ("simulate --seed -1", "seed"),
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert!(
+                matches!(&err, ArgError::InvalidValue { option: o, .. } if o == option),
+                "{line}: {err}"
+            );
+            assert!(err.to_string().contains(&format!("--{option}:")), "{line}: {err}");
+        }
+        // The bounds themselves are in range.
+        assert!(
+            run_line("validate --tasks 1 --replications 1 --weight 0 --threads 0 --seed 0").is_ok()
+        );
+    }
+
+    #[test]
+    fn the_option_table_rows_name_commands_and_names() {
+        let mut rows = std::collections::BTreeSet::new();
+        for (command, names) in COMMANDS {
+            let row_names = if names.is_empty() { std::slice::from_ref(command) } else { names };
+            for row in row_names {
+                assert!(rows.insert(*row), "`{row}` names two rows");
+            }
+        }
+        let mut options = std::collections::BTreeSet::new();
+        for (option, _, scope) in OPTIONS {
+            assert!(options.insert(*option), "--{option} is declared twice");
+            for row in scope.split_whitespace() {
+                assert!(rows.contains(row), "--{option} names `{row}`, no command or name");
+            }
+        }
+    }
+
+    #[test]
+    fn help_documents_exactly_the_declared_options() {
+        let documented: std::collections::BTreeSet<&str> = HELP
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        for name in &documented {
+            assert!(*name == "help" || option_value(name).is_some(), "HELP documents --{name}");
+        }
+        for (name, ..) in OPTIONS {
+            let worker_only = ["internal-shard", "shard-index", "shard-count"].contains(name);
+            assert_eq!(documented.contains(name), !worker_only, "--{name} in HELP");
+        }
+    }
+
+    #[test]
+    fn sweep_all_is_every_sweep_then_the_grid() {
+        let all = run_line("sweep all --tasks 4 --seed 7 --validate 10 --csv").unwrap();
+        let blocks: Vec<&str> = all.split_terminator("\n\n").collect();
+        assert_eq!(blocks.len(), 6, "{all}");
+        for (block, line) in blocks.iter().zip([
+            "sweep recall --platform coastal-ssd --tasks 4 --csv",
+            "sweep cost --platform coastal-ssd --tasks 4 --csv",
+            "sweep rates --tasks 4 --csv",
+            "sweep tail --tasks 4 --csv",
+            "sweep heuristics --tasks 4 --csv",
+        ]) {
+            assert_eq!(format!("{block}\n"), run_line(line).unwrap(), "{line}");
+        }
+        assert!(blocks[5].starts_with("platform,pattern,n,T,algorithm,"), "{all}");
+        // Aligned text holds the same six tables.
+        let text = run_line("sweep all --tasks 4 --seed 7 --validate 10").unwrap();
+        assert_eq!(text.matches("\n\n").count(), 6, "{text}");
     }
 
     #[test]

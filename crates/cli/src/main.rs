@@ -8,7 +8,7 @@
 mod args;
 mod commands;
 
-use args::ParsedArgs;
+use args::{ArgError, ParsedArgs};
 use std::process::ExitCode;
 
 /// Usage errors (unknown command, malformed flag values) exit with 2;
@@ -17,21 +17,16 @@ const USAGE_EXIT: u8 = 2;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match ParsedArgs::parse(raw) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprint!("{}", commands::HELP);
-            return ExitCode::from(USAGE_EXIT);
-        }
-    };
-    match commands::run(&parsed) {
+    match ParsedArgs::parse(raw).and_then(|args| commands::run(&args)) {
         Ok(output) => {
             print!("{output}");
             ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("error: {e}");
+            if e == ArgError::MissingCommand {
+                eprint!("{}", commands::HELP);
+            }
             if e.is_usage() {
                 ExitCode::from(USAGE_EXIT)
             } else {

@@ -367,7 +367,7 @@ fn epartial_interval(
             }
         }
         // Scalar path: the blocked scan's remainder lanes (`len % 4`), the
-        // exhaustive reference kernel, and the `--no-simd` escape hatch.
+        // exhaustive reference kernel, and the `CHAIN2L_NO_SIMD` escape hatch.
         if stopped {
             start = len;
         }
@@ -639,7 +639,7 @@ fn epartial_floor(
             }
         }
         // Scalar path: the blocked scan's remainder lanes (`len % 4`) and
-        // the `--no-simd` escape hatch.
+        // the `CHAIN2L_NO_SIMD` escape hatch.
         for off in start..len {
             let eminus = exp_s[off] * (em1_fol[off] + v_cost)
                 + exp_s[off] * em1_f[off] * a
@@ -826,7 +826,7 @@ pub(crate) fn fill_disk_slice(
                         seed_v1 = m1 + block_idx as usize;
                     }
                 }
-                // Scalar path: remainder lanes and the `--no-simd` hatch.
+                // Scalar path: remainder lanes and the `CHAIN2L_NO_SIMD` hatch.
                 for off in start..len {
                     let left = left_values[off];
                     let bound = left

@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use wide_lite::f64x4;
 
-/// Set when the vectorized scans are disabled (the `--no-simd` escape
-/// hatch).  Initialised lazily from `CHAIN2L_NO_SIMD`.
+/// Set when the vectorized scans are disabled (the scalar escape hatch).
+/// Initialised lazily from `CHAIN2L_NO_SIMD`.
 static SIMD_DISABLED: OnceLock<AtomicBool> = OnceLock::new();
 
 fn disabled_flag() -> &'static AtomicBool {
@@ -48,9 +48,8 @@ pub fn simd_enabled() -> bool {
 /// `CHAIN2L_NO_SIMD` environment variable).
 ///
 /// Both paths produce bit-identical values, argmins and candidate counts —
-/// this switch is the A/B lever of the equivalence tests and of the CLI's
-/// `--no-simd` flag, and only the new [`DpStatistics`] scan counters reveal
-/// which path ran.
+/// this switch is the A/B lever of the equivalence tests, and only the
+/// [`DpStatistics`] scan counters reveal which path ran.
 ///
 /// [`DpStatistics`]: crate::solution::DpStatistics
 pub fn set_simd_enabled(on: bool) {

@@ -13,7 +13,7 @@ pub struct DpStatistics {
     /// (0 when the algorithm does not track it).
     pub candidates_examined: u64,
     /// 4-lane candidate blocks fully dispatched on the vectorized fast path
-    /// (DESIGN.md §11; 0 under the `--no-simd` escape hatch and for
+    /// (DESIGN.md §11; 0 under the `CHAIN2L_NO_SIMD` escape hatch and for
     /// algorithms without blocked scans).
     pub simd_blocks: u64,
     /// 4-lane candidate blocks that fell back to per-lane scalar resolution

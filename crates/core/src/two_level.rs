@@ -278,7 +278,7 @@ pub(crate) fn fill_disk_slice(
                 }
             }
             // Scalar path: the blocked scan's low-end remainder, the
-            // exhaustive reference kernel, and the `--no-simd` hatch.
+            // exhaustive reference kernel, and the `CHAIN2L_NO_SIMD` hatch.
             if stopped {
                 hi = 0;
             }

@@ -5,10 +5,10 @@
 //! blocks, and tails of 1, 2 and 3 lanes), and on random scenarios.
 //!
 //! The scalar path is selected through the runtime escape hatch
-//! ([`set_simd_enabled`], the lever behind `CHAIN2L_NO_SIMD` and the CLI's
-//! `--no-simd`).  The hatch is process-global, so every A/B comparison holds
-//! a mutex and restores the entry state before releasing it — the suite
-//! stays correct under the default multi-threaded test runner.
+//! ([`set_simd_enabled`], the lever behind `CHAIN2L_NO_SIMD`).  The hatch
+//! is process-global, so every A/B comparison holds a mutex and restores
+//! the entry state before releasing it — the suite stays correct under the
+//! default multi-threaded test runner.
 
 use chain2l_core::{
     optimize_with_partials, set_simd_enabled, simd_enabled, PartialOptions, Solution,
